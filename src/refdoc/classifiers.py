@@ -81,7 +81,7 @@ def dense_row(vec: FeatureVector, vocab: Vocabulary) -> np.ndarray:
     return row
 
 
-def _make_estimator(config: ModelConfig, backend=None):
+def _make_estimator(config: ModelConfig):
     hp = config.hyperparameters
     if config.algorithm == "nb":
         return NaiveBayes(alpha=hp["alpha"])
@@ -94,15 +94,15 @@ def _make_estimator(config: ModelConfig, backend=None):
             n_estimators=hp["n_estimators"], max_depth=hp["max_depth"],
             random_splits_per_node=hp["random_splits_per_node"],
             min_samples_per_leaf=hp["min_samples_per_leaf"],
-            seed=config.seed, backend=backend)
+            seed=config.seed)
     return BoostedClassifier(
         n_trees=hp["n_trees"], max_leaves=hp["max_leaves"],
         min_samples_per_leaf=hp["min_samples_per_leaf"],
-        learning_rate=hp["learning_rate"], backend=backend)
+        learning_rate=hp["learning_rate"])
 
 
-def train(config: ModelConfig, vectors, labels, vocab: Vocabulary,
-          backend=None) -> TrainedModel:
+def train(config: ModelConfig, vectors, labels,
+          vocab: Vocabulary) -> TrainedModel:
     """Fit the configured algorithm on vectorized documents.
 
     Deterministic given (config.seed, data). Requires two classes with at
@@ -124,7 +124,7 @@ def train(config: ModelConfig, vectors, labels, vocab: Vocabulary,
     class_idx = {c: i for i, c in enumerate(class_order)}
     y_idx = np.array([class_idx[lab] for lab in labels], dtype=np.int64)
 
-    estimator = _make_estimator(config, backend=backend)
+    estimator = _make_estimator(config)
     estimator.fit(X, y_idx, len(class_order))
     return TrainedModel(config=config, vocab=vocab, class_order=class_order,
                         estimator=estimator)

@@ -1,38 +1,23 @@
-"""Hot tree-construction kernels: numba-jitted with a pure-numpy fallback.
+"""Hot tree-construction kernels, vectorized with numpy.
 
-Tree split search dominates training time, so it is implemented twice with
-identical semantics: tight loops compiled by numba (default) and a
-vectorized numpy path. Select with the REFDOC_KERNELS environment variable
-("numba" or "numpy"); numpy is used automatically when numba is not
-importable. benchmarks/bench_kernels.py compares the two.
+Tree split search dominates training time. Feature matrices arrive as
+CSC-style arrays whose entries are sorted by (column, value, row);
+`col_of` carries the column id of every entry.
 
-Feature matrices arrive as CSC-style arrays whose entries are sorted by
-(column, value, row); `col_of` carries the column id of every entry.
-Sample-to-leaf assignment lives in `node_of`; rows with node_of == -1 (for
-example out-of-bag rows under bootstrap weights) belong to no leaf.
+Boosted trees grow in lock-step, one tree per class, and each leaf keeps
+its own entry list: the indices of the entries whose rows it holds, in
+that sorted order. One `gbt_best_split` call scores a batch of leaves
+from any mix of classes; `gbt_partition` divides one leaf's list when it
+splits. Forest trees keep the sample-to-node assignment in `node_of`;
+rows with node_of == -1 (out-of-bag rows under bootstrap weights) belong
+to no node.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def build_sorted_csc(X_csr):
@@ -49,102 +34,127 @@ def build_sorted_csc(X_csr):
     return indptr, rows, vals, cols
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
+def gbt_best_split(rows, vals, col_of, entries, cls, count, sum_g, sum_h,
+                   g, h, min_leaf):
+    """Best (gain, feature, threshold) for each leaf of a batch.
 
-def np_gbt_best_split(indptr, rows, vals, col_of, node_of, node, g, h,
-                      sum_g, sum_h, count, min_leaf):
-    """Best (gain, feature, threshold) for one leaf of a boosted tree.
-
-    Gain is the Newton objective improvement (lg^2/lh + rg^2/rh - parent);
-    candidate thresholds sit between distinct in-leaf feature values with
-    the implicit zero block at the left end. Returns feature -1 when no
-    candidate improves on the parent.
+    Leaf i holds the entry list entries[i] of class cls[i], with count[i]
+    rows and gradient sums sum_g[i], sum_h[i]; g[c] and h[c] are the
+    per-row gradients and hessians of class c. Gain is the Newton
+    objective improvement (lg^2/lh + rg^2/rh - parent); candidate
+    thresholds sit between distinct in-leaf feature values with the
+    implicit zero block at the left end. Prefix sums come from one
+    sequential cumsum over each leaf's whole entry list, so a leaf's
+    result does not depend on the rest of the batch. Ties go to the first
+    candidate in scan order. Returns three arrays, with feature -1 where
+    no candidate improves on the parent or a gain is not finite.
     """
-    sel = np.flatnonzero(node_of[rows] == node)
-    if sel.size == 0:
-        return 0.0, -1, 0.0
-    feats = col_of[sel]
-    v = vals[sel]
-    gg = g[rows[sel]]
-    hh = h[rows[sel]]
+    n_leaves = len(entries)
+    best_gain = np.zeros(n_leaves)
+    best_feat = np.full(n_leaves, -1, dtype=np.int64)
+    best_thr = np.zeros(n_leaves)
+    start = np.zeros(n_leaves + 1, dtype=np.int64)
+    np.cumsum([e.size for e in entries], out=start[1:])
+    total = int(start[-1])
+    if total == 0:
+        return best_gain, best_feat, best_thr
 
-    new_seg = np.empty(sel.size, dtype=bool)
-    new_seg[0] = True
-    np.not_equal(feats[1:], feats[:-1], out=new_seg[1:])
-    first = np.flatnonzero(new_seg)
-    seg = np.cumsum(new_seg) - 1
-    last = np.r_[first[1:], sel.size] - 1
+    ent = np.concatenate(entries)
+    r = rows[ent]
+    cg = np.empty(total)
+    ch = np.empty(total)
+    for k in range(n_leaves):
+        s, e = start[k], start[k + 1]
+        np.cumsum(g[cls[k]][r[s:e]], out=cg[s:e])
+        np.cumsum(h[cls[k]][r[s:e]], out=ch[s:e])
 
-    cg = np.cumsum(gg)
-    ch = np.cumsum(hh)
-    base_g = np.where(first > 0, cg[first - 1], 0.0)
-    base_h = np.where(first > 0, ch[first - 1], 0.0)
-    prefix_g = cg - base_g[seg]
-    prefix_h = ch - base_h[seg]
-    prefix_n = np.arange(sel.size) - first[seg] + 1
+    # segments: runs of one feature inside one leaf
+    feats = col_of[ent]
+    new_seg = np.empty(total + 1, dtype=bool)
+    new_seg[0] = new_seg[total] = True
+    np.not_equal(feats[1:], feats[:-1], out=new_seg[1:total])
+    new_seg[start[1:-1]] = True
+    bounds = np.flatnonzero(new_seg)
+    first, seg_n = bounds[:-1], np.diff(bounds)
+    # a segment with fewer than min_leaf entries never gives a legal split
+    keep = seg_n >= min_leaf
+    first, seg_n = first[keep], seg_n[keep]
+    seg_leaf = np.searchsorted(start, first, side="right") - 1
+    at_start = first == start[seg_leaf]
+    base_g = np.where(at_start, 0.0, cg[first - 1])
+    base_h = np.where(at_start, 0.0, ch[first - 1])
+    leaf_g = np.asarray(sum_g, dtype=np.float64)[seg_leaf]
+    leaf_h = np.asarray(sum_h, dtype=np.float64)[seg_leaf]
+    parent = (leaf_g * leaf_g) / leaf_h
+    last = first + seg_n - 1
+    zero_n = np.asarray(count, dtype=np.int64)[seg_leaf] - seg_n
+    zero_g = leaf_g - (cg[last] - base_g)
+    zero_h = leaf_h - (ch[last] - base_h)
 
-    seg_n = last - first + 1
-    seg_g = prefix_g[last]
-    seg_h = prefix_h[last]
-    zero_n = count - seg_n           # per segment
-    zero_g = sum_g - seg_g
-    zero_h = sum_h - seg_h
+    def scored(s, lg, lh):
+        """Gains of the candidates of segments s whose sides have hessian."""
+        rg, rh = leaf_g[s] - lg, leaf_h[s] - lh
+        ok = (lh > 0.0) & (rh > 0.0)
+        lg, lh, rg, rh, s = lg[ok], lh[ok], rg[ok], rh[ok], s[ok]
+        return ok, (lg * lg) / lh + (rg * rg) / rh - parent[s]
 
-    parent = (sum_g * sum_g) / sum_h
+    # zeros-vs-nonzeros boundary, one per segment, scan key 2*first; its
+    # right side is the segment, which has at least min_leaf rows
+    a_seg = np.flatnonzero((zero_n > 0) & (zero_n >= min_leaf))
+    ok, a_gain = scored(a_seg, zero_g[a_seg], zero_h[a_seg])
+    a_seg = a_seg[ok]
 
-    def gains_of(ln, lg, lh, rn, rg, rh):
-        ok = (ln >= min_leaf) & (rn >= min_leaf) & (lh > 0.0) & (rh > 0.0)
-        lh_safe = np.where(ok, lh, 1.0)
-        rh_safe = np.where(ok, rh, 1.0)
-        gain = (lg * lg) / lh_safe + (rg * rg) / rh_safe - parent
-        return np.where(ok, gain, -np.inf)
+    # boundary after entry i = first + p of a segment, scan key 2*i + 1;
+    # only p with zero_n + p + 1 >= min_leaf and seg_n - p - 1 >= min_leaf
+    # and a larger value at i + 1 are candidates
+    lo = np.maximum(min_leaf - 1 - zero_n, 0)
+    n_pos = np.maximum(seg_n - max(min_leaf, 1) - lo, 0)
+    b_seg = np.repeat(np.arange(first.size), n_pos)
+    i = np.arange(b_seg.size) + np.repeat(
+        first + lo - (np.cumsum(n_pos) - n_pos), n_pos)
+    v_at = vals[ent[i]]
+    v_next = vals[ent[i + 1]]
+    up = v_next > v_at
+    b_seg, i, v_at, v_next = b_seg[up], i[up], v_at[up], v_next[up]
+    ok, b_gain = scored(b_seg, zero_g[b_seg] + (cg[i] - base_g[b_seg]),
+                        zero_h[b_seg] + (ch[i] - base_h[b_seg]))
+    b_seg, i, v_at, v_next = b_seg[ok], i[ok], v_at[ok], v_next[ok]
 
-    # zeros-vs-nonzeros boundary, one candidate per segment
-    a_ok = zero_n > 0
-    a_gain = np.where(
-        a_ok,
-        gains_of(zero_n, zero_g, zero_h,
-                 count - zero_n, sum_g - zero_g, sum_h - zero_h),
-        -np.inf,
-    )
-    a_thr = 0.5 * v[first]
-    a_feat = feats[first]
-    a_key = first - 0.5
-
-    # boundaries between consecutive distinct values inside a segment
-    b_idx = np.flatnonzero((seg[:-1] == seg[1:]) & (v[1:] > v[:-1]))
-    ln = zero_n[seg[b_idx]] + prefix_n[b_idx]
-    lg = zero_g[seg[b_idx]] + prefix_g[b_idx]
-    lh = zero_h[seg[b_idx]] + prefix_h[b_idx]
-    b_gain = gains_of(ln, lg, lh, count - ln, sum_g - lg, sum_h - lh)
-    b_thr = 0.5 * (v[b_idx] + v[b_idx + 1])
-    b_feat = feats[b_idx]
-    b_key = b_idx + 0.5
-
-    gain = np.r_[a_gain, b_gain]
-    thr = np.r_[a_thr, b_thr]
-    feat = np.r_[a_feat, b_feat]
-    key = np.r_[a_key, b_key]
-    order = np.argsort(key)          # scan order of the loop implementation
-    gain, thr, feat = gain[order], thr[order], feat[order]
-
-    best = int(np.argmax(gain))
-    if not np.isfinite(gain[best]) or gain[best] <= 0.0:
-        return 0.0, -1, 0.0
-    return float(gain[best]), int(feat[best]), float(thr[best])
+    # per leaf: the largest gain, then the smallest scan key
+    cand_seg = np.concatenate((a_seg, b_seg))
+    cand_leaf = seg_leaf[cand_seg]
+    gain = np.concatenate((a_gain, b_gain))
+    top = np.full(n_leaves, -np.inf)
+    np.maximum.at(top, cand_leaf, gain)          # NaN propagates
+    tied = np.flatnonzero(gain == top[cand_leaf])
+    tied = tied[np.isfinite(gain[tied]) & (gain[tied] > 0.0)]
+    key = np.concatenate((2 * first[a_seg], 2 * i + 1))[tied]
+    first_key = np.full(n_leaves, 2 * total, dtype=np.int64)
+    np.minimum.at(first_key, cand_leaf[tied], key)
+    pick = tied[key == first_key[cand_leaf[tied]]]
+    won = cand_leaf[pick]
+    best_gain[won] = gain[pick]
+    best_feat[won] = feats[first[cand_seg[pick]]]
+    thr = np.concatenate((0.5 * vals[ent[first[a_seg]]],
+                          0.5 * (v_at + v_next)))
+    best_thr[won] = thr[pick]
+    return best_gain, best_feat, best_thr
 
 
-def np_gbt_partition(indptr, rows, vals, node_of, node, feature, threshold,
-                     new_node, g, h):
-    """Move in-leaf rows with value > threshold to new_node; return their stats."""
-    s, e = indptr[feature], indptr[feature + 1]
-    rws = rows[s:e]
-    m = (node_of[rws] == node) & (vals[s:e] > threshold)
-    moved = rws[m]
+def gbt_partition(indptr, rows, vals, node_of, entries, feature, threshold,
+                  new_node, g, h):
+    """Move a leaf's rows with value > threshold to new_node.
+
+    Returns (left entries, right entries, right count, right sum of g,
+    right sum of h); both entry lists keep their order.
+    """
+    lo, hi = np.searchsorted(entries, indptr[feature:feature + 2])
+    col = entries[lo:hi]
+    moved = rows[col[vals[col] > threshold]]
     node_of[moved] = new_node
-    return int(moved.size), float(g[moved].sum()), float(h[moved].sum())
+    right = node_of[rows[entries]] == new_node
+    return (entries[~right], entries[right], int(moved.size),
+            float(g[moved].sum()), float(h[moved].sum()))
 
 
 def _gini_from_counts(counts, total):
@@ -152,9 +162,9 @@ def _gini_from_counts(counts, total):
     return 1.0 - np.sum(p * p)
 
 
-def np_rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
-                         n_classes, cand_feats, cand_fracs, node_counts,
-                         count, min_leaf):
+def rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
+                      n_classes, cand_feats, cand_fracs, node_counts,
+                      count, min_leaf):
     """Best of the random (feature, threshold) candidates for one node.
 
     Thresholds interpolate between the in-node min and max of the candidate
@@ -199,8 +209,8 @@ def np_rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
     return best_gain, best_feat, best_thr
 
 
-def np_rf_partition(indptr, rows, vals, node_of, node, feature, threshold,
-                    new_node, y, weights, n_classes):
+def rf_partition(indptr, rows, vals, node_of, node, feature, threshold,
+                 new_node, y, weights, n_classes):
     """Move in-node rows with value > threshold to new_node; return their class counts."""
     s, e = indptr[feature], indptr[feature + 1]
     rws = rows[s:e]
@@ -212,239 +222,14 @@ def np_rf_partition(indptr, rows, vals, node_of, node, feature, threshold,
     return counts.astype(np.int64)
 
 
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _nb_gbt_best_split(indptr, rows, vals, col_of, node_of, node, g, h,
-                       sum_g, sum_h, count, min_leaf):
-    best_gain = 0.0
-    best_feat = -1
-    best_thr = 0.0
-    parent = (sum_g * sum_g) / sum_h
-    n_feat = indptr.size - 1
-    for j in range(n_feat):
-        s = indptr[j]
-        e = indptr[j + 1]
-        nz_n = 0
-        nz_g = 0.0
-        nz_h = 0.0
-        for k in range(s, e):
-            r = rows[k]
-            if node_of[r] == node:
-                nz_n += 1
-                nz_g += g[r]
-                nz_h += h[r]
-        if nz_n == 0:
-            continue
-        left_n = count - nz_n
-        left_g = sum_g - nz_g
-        left_h = sum_h - nz_h
-        prev_val = 0.0
-        for k in range(s, e):
-            r = rows[k]
-            if node_of[r] != node:
-                continue
-            v = vals[k]
-            if v > prev_val and left_n > 0:
-                right_n = count - left_n
-                if (left_n >= min_leaf and right_n >= min_leaf):
-                    right_g = sum_g - left_g
-                    right_h = sum_h - left_h
-                    if left_h > 0.0 and right_h > 0.0:
-                        gain = ((left_g * left_g) / left_h
-                                + (right_g * right_g) / right_h - parent)
-                        if gain > best_gain:
-                            best_gain = gain
-                            best_feat = j
-                            best_thr = 0.5 * (prev_val + v)
-            left_n += 1
-            left_g += g[r]
-            left_h += h[r]
-            prev_val = v
-    return best_gain, best_feat, best_thr
-
-
-@njit(cache=True, nogil=True)
-def _nb_gbt_partition(indptr, rows, vals, node_of, node, feature, threshold,
-                      new_node, g, h):
-    s = indptr[feature]
-    e = indptr[feature + 1]
-    rn = 0
-    rg = 0.0
-    rh = 0.0
-    for k in range(s, e):
-        r = rows[k]
-        if node_of[r] == node and vals[k] > threshold:
-            node_of[r] = new_node
-            rn += 1
-            rg += g[r]
-            rh += h[r]
-    return rn, rg, rh
-
-
-@njit(cache=True, nogil=True)
-def _nb_gini(counts, total):
-    acc = 0.0
-    for k in range(counts.size):
-        p = counts[k] / total
-        acc += p * p
-    return 1.0 - acc
-
-
-@njit(cache=True, nogil=True)
-def _nb_rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
-                          n_classes, cand_feats, cand_fracs, node_counts,
-                          count, min_leaf):
-    fcounts = node_counts.astype(np.float64)
-    parent = _nb_gini(fcounts, float(count))
-    best_gain = 0.0
-    best_feat = -1
-    best_thr = 0.0
-    nz = np.empty(n_classes, dtype=np.float64)
-    left = np.empty(n_classes, dtype=np.float64)
-    right = np.empty(n_classes, dtype=np.float64)
-    for c in range(cand_feats.size):
-        j = cand_feats[c]
-        s = indptr[j]
-        e = indptr[j + 1]
-        nz_n = 0
-        vmin = 0.0
-        vmax = 0.0
-        seen = False
-        for k in range(s, e):
-            r = rows[k]
-            if node_of[r] == node:
-                nz_n += weights[r]
-                if not seen:
-                    vmin = vals[k]
-                    seen = True
-                vmax = vals[k]
-        if not seen:
-            continue
-        zero_n = count - nz_n
-        if zero_n > 0:
-            vmin = 0.0
-        if vmax <= vmin:
-            continue
-        thr = vmin + cand_fracs[c] * (vmax - vmin)
-        if thr >= vmax:
-            thr = vmin
-        for k2 in range(n_classes):
-            nz[k2] = 0.0
-            left[k2] = 0.0
-        for k in range(s, e):
-            r = rows[k]
-            if node_of[r] == node:
-                w = float(weights[r])
-                nz[y[r]] += w
-                if vals[k] <= thr:
-                    left[y[r]] += w
-        ln = 0.0
-        for k2 in range(n_classes):
-            left[k2] = (fcounts[k2] - nz[k2]) + left[k2]
-            ln += left[k2]
-        rn = count - ln
-        if ln < min_leaf or rn < min_leaf:
-            continue
-        for k2 in range(n_classes):
-            right[k2] = fcounts[k2] - left[k2]
-        gain = parent - (ln * _nb_gini(left, ln)
-                         + rn * _nb_gini(right, rn)) / count
-        if gain > best_gain:
-            best_gain = gain
-            best_feat = j
-            best_thr = thr
-    return best_gain, best_feat, best_thr
-
-
-@njit(cache=True, nogil=True)
-def _nb_rf_partition(indptr, rows, vals, node_of, node, feature, threshold,
-                     new_node, y, weights, n_classes):
-    counts = np.zeros(n_classes, dtype=np.int64)
-    s = indptr[feature]
-    e = indptr[feature + 1]
-    for k in range(s, e):
-        r = rows[k]
-        if node_of[r] == node and vals[k] > threshold:
-            node_of[r] = new_node
-            counts[y[r]] += weights[r]
-    return counts
-
-
-def nb_gbt_best_split(indptr, rows, vals, col_of, node_of, node, g, h,
-                      sum_g, sum_h, count, min_leaf):
-    gain, feat, thr = _nb_gbt_best_split(
-        indptr, rows, vals, col_of, node_of, np.int64(node), g, h,
-        float(sum_g), float(sum_h), np.int64(count), np.int64(min_leaf))
-    return float(gain), int(feat), float(thr)
-
-
-def nb_gbt_partition(indptr, rows, vals, node_of, node, feature, threshold,
-                     new_node, g, h):
-    rn, rg, rh = _nb_gbt_partition(
-        indptr, rows, vals, node_of, np.int64(node), np.int64(feature),
-        float(threshold), np.int64(new_node), g, h)
-    return int(rn), float(rg), float(rh)
-
-
-def nb_rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
-                         n_classes, cand_feats, cand_fracs, node_counts,
-                         count, min_leaf):
-    gain, feat, thr = _nb_rf_best_candidate(
-        indptr, rows, vals, node_of, np.int64(node), y, weights,
-        np.int64(n_classes), cand_feats, cand_fracs, node_counts,
-        np.int64(count), np.int64(min_leaf))
-    return float(gain), int(feat), float(thr)
-
-
-def nb_rf_partition(indptr, rows, vals, node_of, node, feature, threshold,
-                    new_node, y, weights, n_classes):
-    return _nb_rf_partition(
-        indptr, rows, vals, node_of, np.int64(node), np.int64(feature),
-        float(threshold), np.int64(new_node), y, weights, np.int64(n_classes))
-
-
-_NUMPY = SimpleNamespace(
-    name="numpy",
-    gbt_best_split=np_gbt_best_split,
-    gbt_partition=np_gbt_partition,
-    rf_best_candidate=np_rf_best_candidate,
-    rf_partition=np_rf_partition,
-)
-
-_NUMBA = SimpleNamespace(
-    name="numba",
-    gbt_best_split=nb_gbt_best_split,
-    gbt_partition=nb_gbt_partition,
-    rf_best_candidate=nb_rf_best_candidate,
-    rf_partition=nb_rf_partition,
+_KERNELS = SimpleNamespace(
+    gbt_best_split=gbt_best_split,
+    gbt_partition=gbt_partition,
+    rf_best_candidate=rf_best_candidate,
+    rf_partition=rf_partition,
 )
 
 
-def default_backend() -> str:
-    env = os.environ.get("REFDOC_KERNELS", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            warnings.warn("REFDOC_KERNELS=numba but numba is not installed; "
-                          "using the numpy kernels")
-            return "numpy"
-        return "numba"
-    if env:
-        raise ValueError(f"REFDOC_KERNELS must be 'numba' or 'numpy', got {env!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def get_kernels(backend=None) -> SimpleNamespace:
-    """Kernel namespace for the requested backend (default: env/numba)."""
-    name = backend or default_backend()
-    if name == "numpy":
-        return _NUMPY
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return _NUMBA
-    raise ValueError(f"unknown kernel backend {name!r}")
+def get_kernels() -> SimpleNamespace:
+    """The kernel namespace; the tree code looks its members up per call."""
+    return _KERNELS

@@ -90,16 +90,28 @@ def save_model(model: TrainedModel, path, corpus_fingerprint=None) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """Read a model file; any structural problem raises ModelFormatError."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"not a model file: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise ModelFormatError("not a model file: expected a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"model format version {version!r} not supported "
             f"(expected {FORMAT_VERSION})")
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise ModelFormatError(f"model file lacks field {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model file: {exc}") from None
+
+
+def _model_from_payload(payload) -> TrainedModel:
     config = ModelConfig(
         algorithm=payload["algorithm"],
         hyperparameters=payload["hyperparameters"],

@@ -7,8 +7,8 @@ from .corpus import Dataset, RefactoringType
 from .errors import UnknownLabel
 
 
-def fit(dataset: Dataset, config: classifiers.ModelConfig,
-        backend=None) -> classifiers.TrainedModel:
+def fit(dataset: Dataset,
+        config: classifiers.ModelConfig) -> classifiers.TrainedModel:
     """Train the configured pipeline on a fully labeled dataset.
 
     None-labeled rows are rejected unless the config says include_none, and
@@ -31,7 +31,7 @@ def fit(dataset: Dataset, config: classifiers.ModelConfig,
     vocab = features.build_vocabulary(docs, labels, n_max=config.n_max,
                                       k_select=config.k_select)
     vectors = [features.vectorize(doc, vocab) for doc in docs]
-    return classifiers.train(config, vectors, labels, vocab, backend=backend)
+    return classifiers.train(config, vectors, labels, vocab)
 
 
 def predict_message(model: classifiers.TrainedModel, message: str):

@@ -2,7 +2,8 @@
 
 The model is loaded once at startup and never mutated, so concurrent
 requests are safe; identical requests produce byte-identical responses.
-Bodies over 64 KiB are rejected with 413, malformed ones with 400.
+Bodies over 64 KiB are rejected with 413; malformed ones, and negative or
+non-numeric Content-Length headers, with 400.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class PredictHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             self._error(400, "bad Content-Length")
             return
         if length > MAX_BODY_BYTES:

@@ -1,11 +1,13 @@
 """Gradient-boosted and random-forest tree models over sparse TF-IDF rows.
 
-Both models are built on the kernels module: boosted regression trees grow
-leaf-wise on logistic-loss gradients (one-vs-all per class); forest trees
-grow depth-first on bootstrap replicates, scoring a fixed number of random
-(feature, threshold) candidates per node. All randomness is pre-drawn from
-per-tree generator streams spawned from (seed, tree index), so training is
-deterministic and independent of the kernel backend's execution schedule.
+Both models are built on the kernels module. Boosted regression trees grow
+leaf-wise on logistic-loss gradients, one-vs-all per class; the trees of
+all classes in a boosting round grow in lock-step over leaf-local entry
+lists, so one kernel call scores the new leaves of every class. Forest
+trees grow depth-first on bootstrap replicates, scoring a fixed number of
+random (feature, threshold) candidates per node. All randomness is
+pre-drawn from per-tree generator streams spawned from (seed, tree index),
+so training is deterministic.
 """
 
 from __future__ import annotations
@@ -87,98 +89,131 @@ class Tree:
 def _leaf_value(sum_g, sum_h):
     if sum_h < 1e-12:
         return 0.0
-    return float(np.clip(sum_g / sum_h, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
+    return min(max(sum_g / sum_h, -MAX_LEAF_VALUE), MAX_LEAF_VALUE)
 
 
-def fit_regression_tree(csc, n_rows, g, h, max_leaves, min_leaf, kernels):
-    """One leaf-wise boosted tree on gradients g with hessians h.
+class _Leaf:
+    """A growing boosted-tree leaf and its best split (feature -1: none)."""
 
-    Returns (tree, per-row prediction on the training rows).
+    __slots__ = ("node", "entries", "count", "sum_g", "sum_h", "gain",
+                 "feature", "threshold")
+
+    def __init__(self, node, entries, count, sum_g, sum_h):
+        self.node = node
+        self.entries = entries  # CSC entry indices of its rows, in order
+        self.count = count
+        self.sum_g = sum_g
+        self.sum_h = sum_h
+        self.gain, self.feature, self.threshold = 0.0, -1, 0.0
+
+
+def fit_regression_tree(csc, g, h, max_leaves, min_leaf):
+    """One leaf-wise boosted tree per class, grown in lock-step.
+
+    Class c's tree fits gradients g[c] with hessians h[c]. Each step
+    splits the best leaf of every class still growing, then scores all
+    the new leaves in one kernel call; a class's tree does not depend on
+    the others. Returns (trees, per-class prediction on the training
+    rows).
     """
+    kernels = get_kernels()
     indptr, rows, vals, col_of = csc
-    node_of = np.zeros(n_rows, dtype=np.int64)
-    tree = Tree()
+    n_rows = g[0].size
+    trees = [Tree() for _ in g]
+    node_of = [np.zeros(n_rows, dtype=np.int64) for _ in g]
+    leaves = [{} for _ in g]  # per class: partition id -> _Leaf
+    next_pid = [1] * len(g)
+    all_entries = np.arange(rows.size)
+    new = []  # (class, leaf) still to score
+    for c in range(len(g)):
+        sg, sh = float(np.sum(g[c])), float(np.sum(h[c]))
+        root = trees[c].add_leaf(_leaf_value(sg, sh))
+        leaves[c][0] = _Leaf(root, all_entries, n_rows, sg, sh)
+        new.append((c, leaves[c][0]))
 
-    sum_g = float(np.sum(g))
-    sum_h = float(np.sum(h))
-    root = tree.add_leaf(_leaf_value(sum_g, sum_h))
-    # partition id -> (tree node, count, sum_g, sum_h, best split)
-    leaves = {}
+    while new:
+        batch = [(c, leaf) for c, leaf in new
+                 if leaf.count >= 2 * min_leaf and leaf.sum_h > 0.0]
+        if batch:
+            gains, feats, thrs = kernels.gbt_best_split(
+                rows, vals, col_of, [leaf.entries for _, leaf in batch],
+                [c for c, _ in batch], [leaf.count for _, leaf in batch],
+                [leaf.sum_g for _, leaf in batch],
+                [leaf.sum_h for _, leaf in batch], g, h, min_leaf)
+            for (_, leaf), gain, feat, thr in zip(batch, gains, feats, thrs):
+                leaf.gain, leaf.feature, leaf.threshold = (
+                    float(gain), int(feat), float(thr))
+        new = []
+        for c, class_leaves in enumerate(leaves):
+            if len(class_leaves) >= max_leaves:
+                continue
+            best_pid = -1
+            best_gain = 0.0
+            for pid in sorted(class_leaves):
+                if class_leaves[pid].gain > best_gain:
+                    best_gain = class_leaves[pid].gain
+                    best_pid = pid
+            if best_pid < 0:
+                continue
+            leaf = class_leaves[best_pid]
+            right_pid = next_pid[c]
+            next_pid[c] += 1
+            left_entries, right_entries, rn, rg, rh = kernels.gbt_partition(
+                indptr, rows, vals, node_of[c], leaf.entries, leaf.feature,
+                leaf.threshold, right_pid, g[c], h[c])
+            ln, lg, lh = leaf.count - rn, leaf.sum_g - rg, leaf.sum_h - rh
+            left_node = trees[c].add_leaf(_leaf_value(lg, lh))
+            right_node = trees[c].add_leaf(_leaf_value(rg, rh))
+            trees[c].make_split(leaf.node, leaf.feature, leaf.threshold,
+                                left_node, right_node)
+            class_leaves[best_pid] = _Leaf(left_node, left_entries, ln, lg, lh)
+            class_leaves[right_pid] = _Leaf(right_node, right_entries,
+                                            rn, rg, rh)
+            new += [(c, class_leaves[best_pid]), (c, class_leaves[right_pid])]
 
-    def evaluate(pid, tree_node, count, sg, sh):
-        if count >= 2 * min_leaf and sh > 0.0:
-            gain, feat, thr = kernels.gbt_best_split(
-                indptr, rows, vals, col_of, node_of, pid, g, h,
-                sg, sh, count, min_leaf)
-        else:
-            gain, feat, thr = 0.0, -1, 0.0
-        leaves[pid] = (tree_node, count, sg, sh, gain, feat, thr)
-
-    evaluate(0, root, n_rows, sum_g, sum_h)
-    next_pid = 1
-
-    while len(leaves) < max_leaves:
-        best_pid = -1
-        best_gain = 0.0
-        for pid in sorted(leaves):
-            gain = leaves[pid][4]
-            if gain > best_gain:
-                best_gain = gain
-                best_pid = pid
-        if best_pid < 0:
-            break
-        tree_node, count, sg, sh, _, feat, thr = leaves.pop(best_pid)
-        right_pid = next_pid
-        next_pid += 1
-        rn, rg, rh = kernels.gbt_partition(
-            indptr, rows, vals, node_of, best_pid, feat, thr, right_pid, g, h)
-        ln, lg, lh = count - rn, sg - rg, sh - rh
-        left_node = tree.add_leaf(_leaf_value(lg, lh))
-        right_node = tree.add_leaf(_leaf_value(rg, rh))
-        tree.make_split(tree_node, feat, thr, left_node, right_node)
-        evaluate(best_pid, left_node, ln, lg, lh)
-        evaluate(right_pid, right_node, rn, rg, rh)
-
-    leaf_value = np.zeros(next_pid, dtype=np.float64)
-    for pid, (tree_node, *_rest) in leaves.items():
-        leaf_value[pid] = tree.value[tree_node]
-    return tree, leaf_value[node_of]
+    preds = []
+    for c, class_leaves in enumerate(leaves):
+        leaf_value = np.zeros(next_pid[c], dtype=np.float64)
+        for pid, leaf in class_leaves.items():
+            leaf_value[pid] = trees[c].value[leaf.node]
+        preds.append(leaf_value[node_of[c]])
+    return trees, preds
 
 
 class BoostedClassifier:
     """One-vs-all gradient boosting with logistic loss."""
 
     def __init__(self, n_trees=100, max_leaves=20, min_samples_per_leaf=10,
-                 learning_rate=0.2, backend=None):
+                 learning_rate=0.2):
         self.n_trees = int(n_trees)
         self.max_leaves = int(max_leaves)
         self.min_leaf = int(min_samples_per_leaf)
         self.learning_rate = float(learning_rate)
-        self.backend = backend
         self.f0 = None          # per class
         self.trees = None       # per class list of Tree
 
     def fit(self, X_csr, y_idx, n_classes):
-        kernels = get_kernels(self.backend)
         csc = build_sorted_csc(X_csr)
         n = X_csr.shape[0]
+        ys = [(y_idx == c).astype(np.float64) for c in range(n_classes)]
         self.f0 = []
-        self.trees = []
-        for c in range(n_classes):
-            y = (y_idx == c).astype(np.float64)
+        for y in ys:
             pbar = float(y.mean())
             pbar = min(max(pbar, 1e-12), 1.0 - 1e-12)
-            f0 = math.log(pbar / (1.0 - pbar))
-            margins = np.full(n, f0, dtype=np.float64)
-            class_trees = []
-            for _ in range(self.n_trees):
-                p = sigmoid(margins)
-                g = y - p
-                h = p * (1.0 - p)
-                tree, train_pred = fit_regression_tree(
-                    csc, n, g, h, self.max_leaves, self.min_leaf, kernels)
-                margins = margins + self.learning_rate * train_pred
-                p = sigmoid(margins)
+            self.f0.append(math.log(pbar / (1.0 - pbar)))
+        margins = [np.full(n, f0, dtype=np.float64) for f0 in self.f0]
+        self.trees = [[] for _ in ys]
+        for _ in range(self.n_trees):
+            g, h = [], []
+            for y, m in zip(ys, margins):
+                p = sigmoid(m)
+                g.append(y - p)
+                h.append(p * (1.0 - p))
+            trees, train_preds = fit_regression_tree(
+                csc, g, h, self.max_leaves, self.min_leaf)
+            for c, y in enumerate(ys):
+                margins[c] = margins[c] + self.learning_rate * train_preds[c]
+                p = sigmoid(margins[c])
                 pos = p[y == 1.0]
                 neg = p[y == 0.0]
                 with np.errstate(divide="ignore"):
@@ -186,9 +221,7 @@ class BoostedClassifier:
                 if not np.isfinite(loss):
                     raise NonFinite(
                         "boosting loss diverged; lower the learning rate")
-                class_trees.append(tree)
-            self.f0.append(f0)
-            self.trees.append(class_trees)
+                self.trees[c].append(trees[c])
         return self
 
     def decision_row(self, row):
@@ -240,13 +273,12 @@ class ForestClassifier:
     """Bagged trees with random split candidates; score = vote fraction."""
 
     def __init__(self, n_estimators=8, max_depth=32, random_splits_per_node=128,
-                 min_samples_per_leaf=1, seed=0, backend=None):
+                 min_samples_per_leaf=1, seed=0):
         self.n_estimators = int(n_estimators)
         self.max_depth = int(max_depth)
         self.n_candidates = int(random_splits_per_node)
         self.min_leaf = int(min_samples_per_leaf)
         self.seed = int(seed)
-        self.backend = backend
         self.trees = None
 
     def _fit_one(self, csc, n, y_idx, n_classes, n_features, rng, kernels):
@@ -303,7 +335,7 @@ class ForestClassifier:
         return tree
 
     def fit(self, X_csr, y_idx, n_classes):
-        kernels = get_kernels(self.backend)
+        kernels = get_kernels()
         csc = build_sorted_csc(X_csr)
         n, n_features = X_csr.shape
         self.trees = []

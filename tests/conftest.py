@@ -1,28 +1,8 @@
 import pytest
 
-from refdoc import kernels, pipeline, trees
+from refdoc import pipeline
 from refdoc.classifiers import ModelConfig
 from refdoc.synthetic import generate_corpus
-
-
-@pytest.fixture
-def loop_kernels(monkeypatch):
-    """Serve backend="numba" to the tree models from the plain-loop kernels.
-
-    With numba installed this is exactly what get_kernels("numba") returns.
-    Without it the njit shim leaves the same loops as ordinary Python, so
-    they still serve as the oracle for the vectorized numpy kernels. Any
-    other backend goes to the real get_kernels. Returns the loop namespace.
-    """
-    real_get_kernels = trees.get_kernels
-
-    def get_kernels(backend=None):
-        if backend == "numba":
-            return kernels._NUMBA
-        return real_get_kernels(backend)
-
-    monkeypatch.setattr(trees, "get_kernels", get_kernels)
-    return kernels._NUMBA
 
 
 @pytest.fixture(scope="session")

@@ -200,27 +200,6 @@ def test_logreg_regularizer_contributes_exactly_the_weight_vector():
     assert b1 == b2
 
 
-@pytest.mark.parametrize("algo", ["rf", "gbt"])
-def test_tree_models_deterministic_across_backends(algo, small_dataset,
-                                                  loop_kernels):
-    models = {}
-    for backend in ("numpy", "numba"):
-        models[backend] = pipeline.fit(
-            small_dataset, ModelConfig(algorithm=algo), backend=backend)
-    d_np = models["numpy"].estimator.to_dict()
-    d_nb = models["numba"].estimator.to_dict()
-    if algo == "rf":
-        assert d_np == d_nb  # shared pre-drawn candidate streams: bitwise
-    else:
-        trees_np, trees_nb = d_np["trees"], d_nb["trees"]
-        assert [len(t) for t in trees_np] == [len(t) for t in trees_nb]
-        for probe in ("moved helper into base class", "extracted a method",
-                      "renamed tests for clarity"):
-            la, _ = pipeline.predict_message(models["numpy"], probe)
-            lb, _ = pipeline.predict_message(models["numba"], probe)
-            assert la is lb
-
-
 def test_gbt_training_loss_never_increases():
     rng = np.random.default_rng(3)
     n, d = 80, 30

@@ -96,6 +96,17 @@ def test_predict_without_model_is_a_data_error(capsys, monkeypatch):
     assert main(["predict", "some message"]) == 2
 
 
+def test_predict_with_model_missing_a_key_exits_2(model_path, tmp_path,
+                                                 capsys):
+    payload = json.loads(model_path.read_text())
+    del payload["vocabulary"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    assert main(["predict", "some message", "--model", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert "vocabulary" in err and "Traceback" not in err
+
+
 def test_evaluate_prints_report_table(corpus_path, tmp_path, capsys):
     json_out = tmp_path / "report.json"
     assert main(["evaluate", str(corpus_path), "--algo", "nb",

@@ -66,6 +66,52 @@ def test_non_json_file_rejected(tmp_path):
         load_model(path)
 
 
+def _drop_vocabulary(p):
+    del p["vocabulary"]
+
+
+def _drop_log_theta(p):
+    del p["parameters"]["log_theta"]
+
+
+def _string_pipeline(p):
+    p["pipeline"] = "n_max=2"
+
+
+def _number_for_ngrams(p):
+    p["vocabulary"]["ngrams"] = 7
+
+
+def _bad_hyperparameters(p):
+    p["hyperparameters"] = ["alpha"]
+
+
+def _ragged_theta(p):
+    p["parameters"]["log_theta"] = [[0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_vocabulary, _drop_log_theta, _string_pipeline,
+    _number_for_ngrams, _bad_hyperparameters, _ragged_theta])
+def test_structural_damage_raises_model_format_error(nb_model, tmp_path,
+                                                     mutate):
+    path = tmp_path / "model.json"
+    save_model(nb_model, path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "42", "null", "\"model\""])
+def test_non_object_payload_rejected(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
 def test_saved_file_is_deterministic(nb_model, tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -73,6 +74,18 @@ def test_oversized_body_is_413(server):
     big = {"message": "x" * (64 * 1024 + 100)}
     status, _ = post(server, big)
     assert status == 413
+
+
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_bad_content_length_is_400_without_reading(server, length):
+    host, port = server.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        # the connection stays open: a server that waits for the body
+        # would never answer
+        sock.sendall(f"POST /predict HTTP/1.0\r\nContent-Length: {length}"
+                     "\r\n\r\n".encode())
+        status_line = sock.makefile("rb").readline()
+    assert status_line.split()[1] == b"400"
 
 
 def test_identical_requests_get_byte_identical_bodies(server):
