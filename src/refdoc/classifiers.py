@@ -9,7 +9,7 @@ resolve to the first class in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,13 +51,6 @@ class ModelConfig:
         merged.update(self.hyperparameters)
         object.__setattr__(self, "hyperparameters", merged)
 
-    @property
-    def pipeline(self):
-        return (self.n_max, self.k_select, self.seed)
-
-    def with_seed(self, seed):
-        return replace(self, seed=seed)
-
 
 @dataclass
 class TrainedModel:
@@ -65,10 +58,6 @@ class TrainedModel:
     vocab: Vocabulary
     class_order: tuple  # RefactoringType, alphabetical by canonical name
     estimator: object
-
-    @property
-    def include_none(self):
-        return self.config.include_none
 
 
 def dense_row(vec: FeatureVector, vocab: Vocabulary) -> np.ndarray:
@@ -81,7 +70,8 @@ def dense_row(vec: FeatureVector, vocab: Vocabulary) -> np.ndarray:
     return row
 
 
-def _make_estimator(config: ModelConfig):
+def make_estimator(config: ModelConfig):
+    """The untrained estimator for config, hyperparameters applied."""
     hp = config.hyperparameters
     if config.algorithm == "nb":
         return NaiveBayes(alpha=hp["alpha"])
@@ -124,7 +114,7 @@ def train(config: ModelConfig, vectors, labels,
     class_idx = {c: i for i, c in enumerate(class_order)}
     y_idx = np.array([class_idx[lab] for lab in labels], dtype=np.int64)
 
-    estimator = _make_estimator(config)
+    estimator = make_estimator(config)
     estimator.fit(X, y_idx, len(class_order))
     return TrainedModel(config=config, vocab=vocab, class_order=class_order,
                         estimator=estimator)

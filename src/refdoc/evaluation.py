@@ -4,7 +4,8 @@ Per-class F is evaluated in its integer form 2tp/(2tp+fp+fn), which equals
 2PR/(P+R) exactly and keeps every metric a single correctly rounded
 division; all 0/0 cases resolve to 0. Cross-validation pools one confusion
 matrix over all folds and rebuilds vocabulary and model per fold on the
-training folds only.
+training folds only, through pipeline.fit, so the None-class rule of
+training applies to every fold.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import classifiers, features, textprep
+from . import pipeline
 from .baseline import keyword_predict
 from .corpus import ALL_TYPES, PRNG_NAME, Dataset, RefactoringType
 from .errors import InsufficientClass, UnknownLabel
@@ -199,15 +200,10 @@ def stratified_folds(labels: Sequence[RefactoringType], folds: int,
     return [np.array(sorted(a), dtype=np.int64) for a in assignment]
 
 
-def fit_fold(dataset: Dataset, train_idx, config) -> classifiers.TrainedModel:
+def fit_fold(dataset: Dataset, train_idx, config):
     """Build vocabulary and model from the given training rows only."""
-    records = [dataset.records[i] for i in train_idx]
-    docs = [textprep.preprocess(r.message) for r in records]
-    labels = [r.label for r in records]
-    vocab = features.build_vocabulary(docs, labels, n_max=config.n_max,
-                                      k_select=config.k_select)
-    vectors = [features.vectorize(doc, vocab) for doc in docs]
-    return classifiers.train(config, vectors, labels, vocab)
+    return pipeline.fit(Dataset([dataset.records[i] for i in train_idx]),
+                        config)
 
 
 def cross_validate(dataset: Dataset, config, folds: int = 10,
@@ -227,10 +223,7 @@ def cross_validate(dataset: Dataset, config, folds: int = 10,
         in_test[test_idx] = True
         model = fit_fold(dataset, all_idx[~in_test], config)
         for i in test_idx:
-            doc = textprep.preprocess(records[i].message)
-            vec = features.vectorize(doc, model.vocab)
-            scores = classifiers.predict(model, vec)
-            pred = classifiers.predicted_label(scores, model.class_order)
+            pred, _ = pipeline.predict_message(model, records[i].message)
             pairs.append((records[i].label, pred))
 
     config_snapshot = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 
-from . import classifiers, features, textprep
+from . import pipeline
 from .corpus import Dataset, RefactoringType
 
 
@@ -54,10 +54,7 @@ def inconsistency_report(dataset: Dataset, model,
     for rec in dataset:
         if rec.label is None:
             continue
-        doc = textprep.preprocess(rec.message)
-        vec = features.vectorize(doc, model.vocab)
-        scores = classifiers.predict(model, vec)
-        pred = classifiers.predicted_label(scores, model.class_order)
+        pred, _ = pipeline.predict_message(model, rec.message)
         case = classify_pair(rec.label, pred)
         counts[case] += 1
         if len(examples[case]) < max_examples:

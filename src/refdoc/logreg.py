@@ -103,11 +103,12 @@ class LogisticOvA:
             "bias": [float(v) for v in self.bias],
         }
 
-    @classmethod
-    def from_dict(cls, d, hyper):
-        model = cls(l2_weight=hyper["l2_weight"],
-                    optimization_tolerance=hyper["optimization_tolerance"],
-                    max_iterations=hyper["max_iterations"])
-        model.weights = np.asarray(d["weights"], dtype=np.float64)
-        model.bias = np.asarray(d["bias"], dtype=np.float64)
-        return model
+    def load_dict(self, d, n_classes, n_features):
+        """Set the learned arrays from to_dict() output; returns self."""
+        self.weights = np.asarray(d["weights"], dtype=np.float64)
+        self.bias = np.asarray(d["bias"], dtype=np.float64)
+        if (self.weights.shape != (n_classes, n_features)
+                or self.bias.shape != (n_classes,)):
+            raise ValueError("logistic regression arrays do not match the "
+                             "classes and features")
+        return self

@@ -15,13 +15,10 @@ import time
 
 import numpy as np
 
-from .classifiers import ModelConfig, TrainedModel
+from .classifiers import ModelConfig, TrainedModel, make_estimator
 from .corpus import PRNG_NAME, parse_label
 from .errors import ModelFormatError
 from .features import Vocabulary
-from .logreg import LogisticOvA
-from .naive_bayes import NaiveBayes
-from .trees import BoostedClassifier, ForestClassifier
 
 FORMAT_VERSION = 1
 
@@ -107,7 +104,7 @@ def load_model(path) -> TrainedModel:
         return _model_from_payload(payload)
     except KeyError as exc:
         raise ModelFormatError(f"model file lacks field {exc}") from None
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
 
 
@@ -122,17 +119,7 @@ def _model_from_payload(payload) -> TrainedModel:
     )
     vocab = _vocab_from_dict(payload["vocabulary"])
     class_order = tuple(parse_label(s) for s in payload["class_order"])
-    params = payload["parameters"]
-    hyper = config.hyperparameters
-    if config.algorithm == "nb":
-        estimator = NaiveBayes.from_dict(params, hyper)
-    elif config.algorithm == "logreg":
-        estimator = LogisticOvA.from_dict(params, hyper)
-    elif config.algorithm == "rf":
-        estimator = ForestClassifier.from_dict(params, hyper, config.seed)
-    elif config.algorithm == "gbt":
-        estimator = BoostedClassifier.from_dict(params, hyper)
-    else:
-        raise ModelFormatError(f"unknown algorithm {payload['algorithm']!r}")
+    estimator = make_estimator(config).load_dict(
+        payload["parameters"], len(class_order), vocab.n_selected)
     return TrainedModel(config=config, vocab=vocab, class_order=class_order,
                         estimator=estimator)

@@ -47,9 +47,12 @@ class NaiveBayes:
             "log_theta": [[float(v) for v in row] for row in self.log_theta],
         }
 
-    @classmethod
-    def from_dict(cls, d, hyper):
-        model = cls(alpha=hyper["alpha"])
-        model.log_prior = np.asarray(d["log_prior"], dtype=np.float64)
-        model.log_theta = np.asarray(d["log_theta"], dtype=np.float64)
-        return model
+    def load_dict(self, d, n_classes, n_features):
+        """Set the learned arrays from to_dict() output; returns self."""
+        self.log_prior = np.asarray(d["log_prior"], dtype=np.float64)
+        self.log_theta = np.asarray(d["log_theta"], dtype=np.float64)
+        if (self.log_prior.shape != (n_classes,)
+                or self.log_theta.shape != (n_classes, n_features)):
+            raise ValueError("naive Bayes arrays do not match the classes "
+                             "and features")
+        return self

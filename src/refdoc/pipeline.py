@@ -1,4 +1,9 @@
-"""End-to-end glue: dataset -> preprocessed docs -> vocabulary -> model."""
+"""End-to-end glue: dataset -> preprocessed docs -> vocabulary -> model.
+
+The one fit path and the one message-to-label path: the CLI,
+cross-validation, the inconsistency report and the service all call fit
+and predict_message rather than repeating their steps.
+"""
 
 from __future__ import annotations
 

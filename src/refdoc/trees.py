@@ -76,13 +76,29 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, n_features, n_classes=None):
+        """Rebuild a tree, rejecting any structure predict_row could not walk.
+
+        Children come after their parent, so a valid tree has no cycles.
+        With n_classes, leaf values must be class indices below it.
+        """
         tree = cls()
         tree.feature = [int(x) for x in d["feature"]]
         tree.threshold = [float(x) for x in d["threshold"]]
         tree.left = [int(x) for x in d["left"]]
         tree.right = [int(x) for x in d["right"]]
         tree.value = [float(x) for x in d["value"]]
+        n = len(tree.feature)
+        if n == 0 or any(len(a) != n for a in (tree.threshold, tree.left,
+                                               tree.right, tree.value)):
+            raise ValueError("tree arrays must share one nonzero length")
+        for node, feat in enumerate(tree.feature):
+            if feat >= 0:
+                if not (feat < n_features and node < tree.left[node] < n
+                        and node < tree.right[node] < n):
+                    raise ValueError(f"tree node {node} is not a valid split")
+            elif n_classes is not None and not 0 <= tree.value[node] < n_classes:
+                raise ValueError(f"tree leaf {node} names no class")
         return tree
 
 
@@ -258,15 +274,15 @@ class BoostedClassifier:
                       for class_trees in self.trees],
         }
 
-    @classmethod
-    def from_dict(cls, d, hyper):
-        model = cls(n_trees=hyper["n_trees"], max_leaves=hyper["max_leaves"],
-                    min_samples_per_leaf=hyper["min_samples_per_leaf"],
-                    learning_rate=hyper["learning_rate"])
-        model.f0 = [float(v) for v in d["f0"]]
-        model.trees = [[Tree.from_dict(t) for t in class_trees]
-                       for class_trees in d["trees"]]
-        return model
+    def load_dict(self, d, n_classes, n_features):
+        """Set f0 and the trees from to_dict() output; returns self."""
+        self.f0 = [float(v) for v in d["f0"]]
+        self.trees = [[Tree.from_dict(t, n_features) for t in class_trees]
+                      for class_trees in d["trees"]]
+        if len(self.f0) != n_classes or len(self.trees) != n_classes:
+            raise ValueError("boosted model does not have one f0 and one "
+                             "tree list per class")
+        return self
 
 
 class ForestClassifier:
@@ -356,12 +372,10 @@ class ForestClassifier:
     def to_dict(self):
         return {"trees": [t.to_dict() for t in self.trees]}
 
-    @classmethod
-    def from_dict(cls, d, hyper, seed):
-        model = cls(n_estimators=hyper["n_estimators"],
-                    max_depth=hyper["max_depth"],
-                    random_splits_per_node=hyper["random_splits_per_node"],
-                    min_samples_per_leaf=hyper["min_samples_per_leaf"],
-                    seed=seed)
-        model.trees = [Tree.from_dict(t) for t in d["trees"]]
-        return model
+    def load_dict(self, d, n_classes, n_features):
+        """Set the trees from to_dict() output; returns self."""
+        self.trees = [Tree.from_dict(t, n_features, n_classes)
+                      for t in d["trees"]]
+        if not self.trees:
+            raise ValueError("forest has no trees")
+        return self

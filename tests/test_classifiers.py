@@ -219,8 +219,7 @@ def test_rf_prediction_deterministic_from_serialized_state():
                                    rng.random((n, d)), 0.0))
     y = rng.integers(0, 3, size=n)
     model = ForestClassifier(seed=11).fit(X, y.astype(np.int64), 3)
-    restored = ForestClassifier.from_dict(
-        model.to_dict(), DEFAULT_HYPERPARAMETERS["rf"], seed=11)
+    restored = ForestClassifier(seed=11).load_dict(model.to_dict(), 3, d)
     row = np.asarray(X[3].todense()).ravel()
     assert np.array_equal(model.score_row(row, 3), restored.score_row(row, 3))
 

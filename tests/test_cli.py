@@ -185,6 +185,38 @@ def test_train_include_none_requires_none_rows(corpus_path, tmp_path, capsys):
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("none_rows,flags", [(True, []),
+                                              (False, ["--include-none"])])
+def test_evaluate_follows_train_none_class_rule(corpus_path, tmp_path, capsys,
+                                                none_rows, flags):
+    corpus = corpus_path
+    if none_rows:
+        corpus = tmp_path / "with_none.jsonl"
+        save_corpus(generate_corpus(seed=5, per_class=10, include_none=True),
+                    corpus)
+    args = [str(corpus), "--algo", "nb"] + flags
+    assert main(["train"] + args + ["--out", str(tmp_path / "m.json")]) == 2
+    train_err = capsys.readouterr().err
+    assert "include_none" in train_err
+    assert main(["evaluate"] + args + ["--folds", "3"]) == 2
+    assert capsys.readouterr().err == train_err
+
+
+def test_predict_with_self_looping_tree_exits_2(gbt_model, tmp_path):
+    path = tmp_path / "loop.json"
+    save_model(gbt_model, path)
+    payload = json.loads(path.read_text())
+    tree = payload["parameters"]["trees"][0][0]
+    tree["left"][0] = tree["right"][0] = 0
+    path.write_text(json.dumps(payload))
+    # a self-looping tree makes prediction spin; the timeout fails that
+    proc = subprocess.run(
+        [sys.executable, "-m", "refdoc", "predict", "renamed the method",
+         "--model", str(path)], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "refdoc", "--help"],
                           capture_output=True, text=True)

@@ -90,13 +90,133 @@ def _ragged_theta(p):
     p["parameters"]["log_theta"] = [[0.0], [0.0, 1.0]]
 
 
-@pytest.mark.parametrize("mutate", [
-    _drop_vocabulary, _drop_log_theta, _string_pipeline,
-    _number_for_ngrams, _bad_hyperparameters, _ragged_theta])
-def test_structural_damage_raises_model_format_error(nb_model, tmp_path,
-                                                     mutate):
+def _nb_theta_cut_to_5_columns(p):
+    p["parameters"]["log_theta"] = [row[:5]
+                                    for row in p["parameters"]["log_theta"]]
+
+
+def _nb_prior_for_an_extra_class(p):
+    p["parameters"]["log_prior"].append(-1.0)
+
+
+def _weights_for_too_few_classes(p):
+    p["parameters"]["weights"].pop()
+
+
+def _bias_as_matrix(p):
+    p["parameters"]["bias"] = [[b] for b in p["parameters"]["bias"]]
+
+
+def _first_tree(p):
+    trees = p["parameters"]["trees"]
+    return trees[0][0] if p["algorithm"] == "gbt" else trees[0]
+
+
+def _self_loop(p):
+    tree = _first_tree(p)
+    tree["left"][0] = tree["right"][0] = 0
+
+
+def _right_child_out_of_range(p):
+    tree = _first_tree(p)
+    tree["right"][0] = len(tree["feature"])
+
+
+def _left_child_out_of_range(p):
+    tree = _first_tree(p)
+    tree["left"][0] = len(tree["feature"])
+
+
+def _right_child_before_its_parent(p):
+    tree = _first_tree(p)
+    node = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["right"][node] = node
+
+
+def _feature_out_of_range(p):
+    _first_tree(p)["feature"][0] = len(p["vocabulary"]["selected"])
+
+
+def _infinite_feature_id(p):
+    _first_tree(p)["feature"][0] = float("inf")  # written as Infinity
+
+
+def _tree_arrays_of_unequal_length(p):
+    _first_tree(p)["threshold"].pop()
+
+
+def _empty_tree(p):
+    tree = _first_tree(p)
+    for key in tree:
+        tree[key] = []
+
+
+def _f0_for_too_few_classes(p):
+    p["parameters"]["f0"].pop()
+
+
+def _tree_lists_for_too_few_classes(p):
+    p["parameters"]["trees"].pop()
+
+
+def _leaf_class_99(p):
+    tree = _first_tree(p)
+    tree["value"][tree["feature"].index(-1)] = 99
+
+
+def _negative_leaf_class(p):
+    tree = _first_tree(p)
+    tree["value"][tree["feature"].index(-1)] = -1
+
+
+def _left_child_before_its_parent(p):
+    tree = _first_tree(p)
+    node = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["left"][node] = node - 1
+
+
+def _no_trees(p):
+    p["parameters"]["trees"] = []
+
+
+@pytest.fixture(scope="module")
+def logreg_model(small_dataset):
+    return pipeline.fit(small_dataset, ModelConfig(algorithm="logreg"))
+
+
+@pytest.fixture(scope="module")
+def rf_model(small_dataset):
+    return pipeline.fit(small_dataset, ModelConfig(algorithm="rf"))
+
+
+_DAMAGE = [
+    ("nb", _drop_vocabulary), ("nb", _drop_log_theta),
+    ("nb", _string_pipeline), ("nb", _number_for_ngrams),
+    ("nb", _bad_hyperparameters), ("nb", _ragged_theta),
+    ("nb", _nb_theta_cut_to_5_columns), ("nb", _nb_prior_for_an_extra_class),
+    ("logreg", _weights_for_too_few_classes),
+    ("logreg", _bias_as_matrix),
+    ("gbt", _self_loop), ("gbt", _right_child_out_of_range),
+    ("gbt", _feature_out_of_range), ("gbt", _infinite_feature_id),
+    ("gbt", _tree_arrays_of_unequal_length),
+    ("gbt", _right_child_before_its_parent),
+    ("gbt", _empty_tree), ("gbt", _f0_for_too_few_classes),
+    ("gbt", _tree_lists_for_too_few_classes),
+    ("rf", _leaf_class_99), ("rf", _negative_leaf_class),
+    ("rf", _left_child_before_its_parent), ("rf", _no_trees),
+    ("rf", _self_loop), ("rf", _feature_out_of_range),
+    ("rf", _left_child_out_of_range),
+]
+
+
+@pytest.mark.parametrize("algo,mutate", [
+    pytest.param(algo, mutate, id=mutate.__name__ if algo == "nb"
+                 else algo + mutate.__name__)
+    for algo, mutate in _DAMAGE])
+def test_structural_damage_raises_model_format_error(request, tmp_path,
+                                                     algo, mutate):
     path = tmp_path / "model.json"
-    save_model(nb_model, path)
+    save_model(request.getfixturevalue(f"{algo}_model"), path)
     payload = json.loads(path.read_text())
     mutate(payload)
     path.write_text(json.dumps(payload))
