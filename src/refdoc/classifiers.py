@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import ALL_TYPES, RefactoringType
 from .errors import EmptyFeatures, InsufficientClass, SingleClass
-from .features import FeatureVector, Vocabulary, vectors_to_csr
+from .features import Vocabulary, vectors_to_csr
 from .logreg import LogisticOvA
 from .naive_bayes import NaiveBayes
 from .trees import BoostedClassifier, ForestClassifier
@@ -60,13 +60,10 @@ class TrainedModel:
     estimator: object
 
 
-def dense_row(vec: FeatureVector, vocab: Vocabulary) -> np.ndarray:
-    """Expand a sparse FeatureVector to a positionally indexed dense row."""
+def dense_row(vec: dict, vocab: Vocabulary) -> np.ndarray:
+    """Expand a positional row from features.vectorize to a dense array."""
     row = np.zeros(vocab.n_selected, dtype=np.float64)
-    for fid, w in vec.items():
-        pos = vocab.position(fid)
-        if pos is not None:
-            row[pos] = w
+    row[list(vec)] = list(vec.values())
     return row
 
 
@@ -93,7 +90,7 @@ def make_estimator(config: ModelConfig):
 
 def train(config: ModelConfig, vectors, labels,
           vocab: Vocabulary) -> TrainedModel:
-    """Fit the configured algorithm on vectorized documents.
+    """Fit the configured algorithm on positional rows from vectorize.
 
     Deterministic given (config.seed, data). Requires two classes with at
     least two samples each and at least one nonempty vector.
@@ -110,7 +107,7 @@ def train(config: ModelConfig, vectors, labels,
     if not any(vectors):
         raise EmptyFeatures("every document vectorized to nothing")
 
-    X = vectors_to_csr(vectors, vocab)
+    X = vectors_to_csr(vectors, vocab.n_selected)
     class_idx = {c: i for i, c in enumerate(class_order)}
     y_idx = np.array([class_idx[lab] for lab in labels], dtype=np.int64)
 
@@ -120,19 +117,14 @@ def train(config: ModelConfig, vectors, labels,
                         estimator=estimator)
 
 
-def predict(model: TrainedModel, vec: FeatureVector) -> dict:
-    """Per-class scores for one vectorized document.
+def predict(model: TrainedModel, vec: dict) -> dict:
+    """Per-class scores for one positional row from features.vectorize.
 
     nb and logreg scores are probabilities summing to one; rf and gbt
     scores are the one-vs-all vote fraction and sigmoid margin. The
     predicted label is the argmax with ties broken by class order.
     """
-    row = dense_row(vec, model.vocab)
-    algo = model.config.algorithm
-    if algo == "rf":
-        scores = model.estimator.score_row(row, len(model.class_order))
-    else:
-        scores = model.estimator.score_row(row)
+    scores = model.estimator.score_row(dense_row(vec, model.vocab))
     return {cls: float(s) for cls, s in zip(model.class_order, scores)}
 
 

@@ -5,6 +5,10 @@ count, IDF is ln((1+N)/(1+df)) + 1, and document vectors over the selected
 features are L2-normalized. Fisher scores are computed over the
 unnormalized count*idf values, accumulating documents in dataset order so
 results do not depend on internal chunking.
+
+A vectorized document is a positional row: {column: weight} in ascending
+column order, where column p is feature selected[p]. Every estimator reads
+that row as it is; vectors_to_csr only stacks rows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from scipy import sparse
 from .errors import EmptyCorpus, SingleClass
 
 Ngram = Tuple[str, ...]
-FeatureVector = Dict[int, float]
 
 FISHER_EPS = 1e-12
 _BLOCK = 4096
@@ -48,7 +51,8 @@ class Vocabulary:
     Feature ids are dense 0..V-1 in lexicographic n-gram order. `selected`
     lists the chosen feature ids ranked by Fisher score descending with
     lexicographic tie-breaking; lowering k therefore yields a prefix of the
-    higher-k selection.
+    higher-k selection. `columns` maps each selected n-gram to its column
+    p, the position of its id in `selected`.
     """
 
     ngrams: List[Ngram]
@@ -59,62 +63,47 @@ class Vocabulary:
     n_max: int
     k_select: int
     index: Dict[Ngram, int] = field(init=False, repr=False)
-    _pos: Dict[int, int] = field(init=False, repr=False)
+    columns: Dict[Ngram, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = len(self.ngrams)
+        if any(len(a) != n for a in (self.doc_freq, self.idf, self.fisher)):
+            raise ValueError("doc_freq, idf and fisher need one entry per n-gram")
+        if not np.isfinite(self.idf).all():
+            raise ValueError("idf values must be finite")
+        ids = [int(f) for f in self.selected]
+        if len(set(ids)) != len(ids) or not all(0 <= f < n for f in ids):
+            raise ValueError("selected must hold distinct n-gram ids")
         self.index = {g: i for i, g in enumerate(self.ngrams)}
-        self._pos = {int(f): p for p, f in enumerate(self.selected)}
+        self.columns = {self.ngrams[f]: p for p, f in enumerate(ids)}
 
     def __len__(self):
         return len(self.ngrams)
-
-    def position(self, feature_id: int):
-        """Dense column position of a selected feature id, or None."""
-        return self._pos.get(int(feature_id))
 
     @property
     def n_selected(self) -> int:
         return len(self.selected)
 
 
-def _count_matrix(docs, ngrams_index, n_max) -> sparse.csr_matrix:
-    """Raw n-gram count matrix (docs x all features)."""
-    data, indices, indptr = [], [], [0]
-    for tokens in docs:
-        counts = count_ngrams(tokens, n_max)
-        cols = sorted(ngrams_index[g] for g in counts if g in ngrams_index)
-        seen = {ngrams_index[g]: c for g, c in counts.items() if g in ngrams_index}
-        indices.extend(cols)
-        data.extend(seen[c] for c in cols)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(docs), len(ngrams_index)),
-    )
+def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
+    """Fisher score of every column of a docs x n-grams count matrix.
 
-
-def fisher_scores(docs, labels, vocab: Vocabulary) -> np.ndarray:
-    """Fisher score of every vocabulary feature over count*idf values.
-
+    Scores are taken over the count*idf values:
     score(j) = sum_k n_k (mu_kj - mu_j)^2 / (sum_k n_k var_kj + eps) with
     population variances, eps = 1e-12. Classes are visited in canonical
     label order and documents in dataset order, so the result is exactly
     reproducible by a straightforward loop over the same data.
     """
-    if len(docs) == 0:
+    n_docs, n_feat = counts.shape
+    if n_docs == 0:
         raise EmptyCorpus("no documents")
-    if len(docs) != len(labels):
+    if n_docs != len(labels):
         raise ValueError("docs and labels length mismatch")
     classes = sorted(set(labels), key=lambda t: t.value)
     if len(classes) < 2:
         raise SingleClass("need at least two distinct labels")
 
-    counts = _count_matrix(docs, vocab.index, vocab.n_max)
-    tfidf = counts.multiply(vocab.idf[np.newaxis, :]).tocsc()
-    n_docs = len(docs)
-    n_feat = len(vocab.ngrams)
+    tfidf = counts.multiply(idf[np.newaxis, :]).tocsc()
     class_rows = {c: [i for i, lab in enumerate(labels) if lab == c]
                   for c in classes}
 
@@ -154,7 +143,9 @@ def build_vocabulary(docs, labels, n_max: int = 2, k_select: int = 5000) -> Voca
 
     Requires at least two documents and two distinct labels. idf uses the
     smoothed formula ln((1+N)/(1+df)) + 1, so idf >= 1 everywhere and a
-    feature present in every document scores exactly 1.0.
+    feature present in every document scores exactly 1.0. Each document's
+    n-grams are counted once, into the count matrix that df and the
+    Fisher scores are both taken from.
     """
     if not 1 <= n_max <= 3:
         raise ValueError("n_max must be 1, 2, or 3")
@@ -167,24 +158,18 @@ def build_vocabulary(docs, labels, n_max: int = 2, k_select: int = 5000) -> Voca
     if len(set(labels)) < 2:
         raise SingleClass("need at least two distinct labels")
 
-    df: Dict[Ngram, int] = {}
-    for tokens in docs:
-        for gram in set(extract_ngrams(tokens, n_max)):
-            df[gram] = df.get(gram, 0) + 1
-    if not df:
+    doc_counts = [count_ngrams(tokens, n_max) for tokens in docs]
+    ngrams = sorted(set().union(*doc_counts))
+    if not ngrams:
         raise EmptyCorpus("every document is empty after preprocessing")
+    index = {g: i for i, g in enumerate(ngrams)}
+    counts = vectors_to_csr(
+        [dict(sorted((index[g], c) for g, c in dc.items())) for dc in doc_counts],
+        len(ngrams))
 
-    ngrams = sorted(df)
-    doc_freq = np.array([df[g] for g in ngrams], dtype=np.int64)
-    n_docs = len(docs)
-    idf = np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
-
-    vocab = Vocabulary(
-        ngrams=ngrams, doc_freq=doc_freq, idf=idf,
-        fisher=np.zeros(len(ngrams)), selected=np.arange(0),
-        n_max=n_max, k_select=k_select,
-    )
-    fisher = fisher_scores(docs, labels, vocab)
+    doc_freq = np.bincount(counts.indices, minlength=len(ngrams))
+    idf = np.log((1.0 + len(docs)) / (1.0 + doc_freq)) + 1.0
+    fisher = fisher_scores(counts, labels, idf)
 
     order = sorted(range(len(ngrams)), key=lambda j: (-fisher[j], ngrams[j]))
     selected = np.array(order[:min(k_select, len(ngrams))], dtype=np.int64)
@@ -194,36 +179,32 @@ def build_vocabulary(docs, labels, n_max: int = 2, k_select: int = 5000) -> Voca
     )
 
 
-def vectorize(tokens, vocab: Vocabulary) -> FeatureVector:
-    """TF-IDF vector of one preprocessed doc over the selected features.
+def vectorize(tokens, vocab: Vocabulary) -> Dict[int, float]:
+    """Positional TF-IDF row of one preprocessed doc: {column: weight}.
 
-    weight(g) = count(g in doc) * idf(g) for selected n-grams, then the
-    vector is L2-normalized. Out-of-vocabulary and unselected n-grams are
-    ignored; an all-zero doc yields the empty vector.
+    weight = count(g in doc) * idf(g) for each selected n-gram g, at g's
+    column, then the row is L2-normalized and ordered by column.
+    Out-of-vocabulary and unselected n-grams are ignored; an all-zero doc
+    yields the empty row.
     """
     weights: Dict[int, float] = {}
     for gram, count in count_ngrams(tokens, vocab.n_max).items():
-        fid = vocab.index.get(gram)
-        if fid is None or vocab.position(fid) is None:
-            continue
-        weights[fid] = count * float(vocab.idf[fid])
+        col = vocab.columns.get(gram)
+        if col is not None:
+            weights[col] = count * float(vocab.idf[vocab.selected[col]])
     if not weights:
         return {}
     norm = math.sqrt(math.fsum(w * w for w in weights.values()))
-    return {fid: weights[fid] / norm for fid in sorted(weights)}
+    return {col: weights[col] / norm for col in sorted(weights)}
 
 
-def vectors_to_csr(vectors, vocab: Vocabulary) -> sparse.csr_matrix:
-    """Stack FeatureVectors into a docs x selected positional CSR matrix."""
-    data, indices, indptr = [], [], [0]
-    for vec in vectors:
-        cols = sorted((vocab.position(fid), w) for fid, w in vec.items())
-        indices.extend(c for c, _ in cols)
-        data.extend(w for _, w in cols)
-        indptr.append(len(indices))
+def vectors_to_csr(rows, n_columns: int) -> sparse.csr_matrix:
+    """Stack positional rows ({column: value}, ascending) into CSR."""
+    indices = [c for row in rows for c in row]
+    data = [v for row in rows for v in row.values()]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
     return sparse.csr_matrix(
         (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, vocab.n_selected),
+         np.asarray(indices, dtype=np.int64), indptr),
+        shape=(len(rows), n_columns),
     )

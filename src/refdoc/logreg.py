@@ -111,4 +111,7 @@ class LogisticOvA:
                 or self.bias.shape != (n_classes,)):
             raise ValueError("logistic regression arrays do not match the "
                              "classes and features")
+        if not (np.isfinite(self.weights).all()
+                and np.isfinite(self.bias).all()):
+            raise ValueError("logistic regression arrays must be finite")
         return self

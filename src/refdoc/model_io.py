@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 
@@ -55,7 +56,8 @@ def _vocab_from_dict(d):
         doc_freq=np.asarray(d["doc_freq"], dtype=np.int64),
         idf=np.asarray(d["idf"], dtype=np.float64),
         fisher=np.asarray(d["fisher"], dtype=np.float64),
-        selected=np.asarray(d["selected"], dtype=np.int64),
+        selected=np.asarray([operator.index(f) for f in d["selected"]],
+                            dtype=np.int64),
         n_max=int(d["n_max"]),
         k_select=int(d["k_select"]),
     )

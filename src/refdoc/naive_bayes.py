@@ -31,12 +31,9 @@ class NaiveBayes:
         self.log_prior = np.log(counts / n)
         return self
 
-    def log_joint_row(self, row):
-        return self.log_prior + self.log_theta @ row
-
     def score_row(self, row):
         """Posterior over classes for one dense feature row."""
-        log_joint = self.log_joint_row(row)
+        log_joint = self.log_prior + self.log_theta @ row
         shifted = log_joint - log_joint.max()
         p = np.exp(shifted)
         return p / p.sum()
@@ -55,4 +52,7 @@ class NaiveBayes:
                 or self.log_theta.shape != (n_classes, n_features)):
             raise ValueError("naive Bayes arrays do not match the classes "
                              "and features")
+        if not (np.isfinite(self.log_prior).all()
+                and np.isfinite(self.log_theta).all()):
+            raise ValueError("naive Bayes arrays must be finite")
         return self

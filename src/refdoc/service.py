@@ -3,7 +3,9 @@
 The model is loaded once at startup and never mutated, so concurrent
 requests are safe; identical requests produce byte-identical responses.
 Bodies over 64 KiB are rejected with 413; malformed ones, and negative or
-non-numeric Content-Length headers, with 400.
+non-numeric Content-Length headers, with 400. A client that stalls for
+REQUEST_TIMEOUT_S seconds while sending its body gets 408, and a client
+that stalls in its headers is disconnected, so neither holds a thread.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .baseline import keyword_predict
 from .terms import match_patterns
 
 MAX_BODY_BYTES = 64 * 1024
+REQUEST_TIMEOUT_S = 10.0
 
 
 def predict_payload(model, message: str) -> dict:
@@ -33,6 +36,7 @@ def predict_payload(model, message: str) -> dict:
 
 class PredictHandler(BaseHTTPRequestHandler):
     server_version = "refdoc"
+    timeout = REQUEST_TIMEOUT_S  # per socket operation
 
     def log_message(self, format, *args):
         pass  # keep request logs out of stderr
@@ -68,7 +72,11 @@ class PredictHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self._error(413, "message too large")
             return
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self._error(408, "timed out reading the body")
+            return
         try:
             payload = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):

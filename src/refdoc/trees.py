@@ -92,6 +92,8 @@ class Tree:
         if n == 0 or any(len(a) != n for a in (tree.threshold, tree.left,
                                                tree.right, tree.value)):
             raise ValueError("tree arrays must share one nonzero length")
+        if not all(map(math.isfinite, tree.threshold + tree.value)):
+            raise ValueError("tree thresholds and values must be finite")
         for node, feat in enumerate(tree.feature):
             if feat >= 0:
                 if not (feat < n_features and node < tree.left[node] < n
@@ -240,19 +242,16 @@ class BoostedClassifier:
                 self.trees[c].append(trees[c])
         return self
 
-    def decision_row(self, row):
-        """Per-class boosted margins for one dense feature row."""
-        out = []
-        for c, class_trees in enumerate(self.trees):
-            z = self.f0[c]
+    def score_row(self, row):
+        """Per-class sigmoid of the boosted margins for one dense row (the
+        one-vs-all combination rule)."""
+        margins = []
+        for f0, class_trees in zip(self.f0, self.trees):
+            z = f0
             for tree in class_trees:
                 z += self.learning_rate * tree.predict_row(row)
-            out.append(z)
-        return np.asarray(out)
-
-    def score_row(self, row):
-        """Per-class sigmoid scores (the one-vs-all combination rule)."""
-        return sigmoid(self.decision_row(row))
+            margins.append(z)
+        return sigmoid(margins)
 
     def training_loss_curve(self, X_csr, y_idx, cls):
         """Logistic training loss after each boosting round for one class."""
@@ -282,6 +281,8 @@ class BoostedClassifier:
         if len(self.f0) != n_classes or len(self.trees) != n_classes:
             raise ValueError("boosted model does not have one f0 and one "
                              "tree list per class")
+        if not all(math.isfinite(v) for v in self.f0):
+            raise ValueError("boosted model f0 must be finite")
         return self
 
 
@@ -295,6 +296,7 @@ class ForestClassifier:
         self.n_candidates = int(random_splits_per_node)
         self.min_leaf = int(min_samples_per_leaf)
         self.seed = int(seed)
+        self.n_classes = None
         self.trees = None
 
     def _fit_one(self, csc, n, y_idx, n_classes, n_features, rng, kernels):
@@ -354,6 +356,7 @@ class ForestClassifier:
         kernels = get_kernels()
         csc = build_sorted_csc(X_csr)
         n, n_features = X_csr.shape
+        self.n_classes = n_classes
         self.trees = []
         for t in range(self.n_estimators):
             rng = np.random.default_rng(
@@ -362,9 +365,9 @@ class ForestClassifier:
                 csc, n, y_idx, n_classes, n_features, rng, kernels))
         return self
 
-    def score_row(self, row, n_classes):
+    def score_row(self, row):
         """Fraction of trees voting for each class."""
-        votes = np.zeros(n_classes, dtype=np.float64)
+        votes = np.zeros(self.n_classes, dtype=np.float64)
         for tree in self.trees:
             votes[int(tree.predict_row(row))] += 1.0
         return votes / len(self.trees)
@@ -374,6 +377,7 @@ class ForestClassifier:
 
     def load_dict(self, d, n_classes, n_features):
         """Set the trees from to_dict() output; returns self."""
+        self.n_classes = n_classes
         self.trees = [Tree.from_dict(t, n_features, n_classes)
                       for t in d["trees"]]
         if not self.trees:

@@ -27,7 +27,7 @@ from refdoc.evaluation import (
     per_class_metrics,
     stratified_folds,
 )
-from refdoc.features import FISHER_EPS, build_vocabulary, fisher_scores, vectorize
+from refdoc.features import FISHER_EPS, build_vocabulary, vectorize
 from refdoc.logreg import logreg_gradient, logreg_loss
 
 
@@ -103,6 +103,7 @@ def test_tfidf_oracle_on_random_corpora():
     checked = 0
     for docs, labels in _random_corpora():
         vocab = build_vocabulary(docs, labels, n_max=2, k_select=10 ** 6)
+        column = {int(f): p for p, f in enumerate(vocab.selected)}
         n_docs = len(docs)
         for tokens in docs:
             got = vectorize(tokens, vocab)
@@ -120,12 +121,12 @@ def test_tfidf_oracle_on_random_corpora():
                 if df == 0:
                     continue
                 idf = math.log((1 + n_docs) / (1 + df)) + 1.0
-                weights[vocab.index[gram]] = c * idf
+                weights[column[vocab.index[gram]]] = c * idf
             norm = math.sqrt(sum(w * w for w in weights.values()))
-            expected = {fid: w / norm for fid, w in weights.items()}
+            expected = {col: w / norm for col, w in weights.items()}
             assert got.keys() == expected.keys()
-            for fid, w in expected.items():
-                assert abs(got[fid] - w) <= 1e-9
+            for col, w in expected.items():
+                assert abs(got[col] - w) <= 1e-9
             checked += 1
     _pass(f"tf-idf oracle: {checked} documents across 100 random corpora")
 
@@ -134,7 +135,7 @@ def test_fisher_oracle_on_random_corpora():
     worst = 0.0
     for docs, labels in _random_corpora():
         vocab = build_vocabulary(docs, labels, n_max=2, k_select=10 ** 6)
-        got = fisher_scores(docs, labels, vocab)
+        got = vocab.fisher
         classes = sorted(set(labels), key=lambda t: t.value)
         values = []
         for tokens in docs:
@@ -181,7 +182,6 @@ def test_nb_oracle_on_fixed_five_doc_corpus():
     vectors = [vectorize(d, vocab) for d in docs]
     model = train(ModelConfig(algorithm="nb"), vectors, labels, vocab)
 
-    pos = {int(f): p for p, f in enumerate(vocab.selected)}
     n_feat = vocab.n_selected
     worst = 0.0
     for query in vectors + [{}]:
@@ -190,12 +190,12 @@ def test_nb_oracle_on_fixed_five_doc_corpus():
             rows = [v for v, lab in zip(vectors, labels) if lab == cls]
             mass = [0.0] * n_feat
             for vec in rows:
-                for fid, w in vec.items():
-                    mass[pos[fid]] += w
+                for col, w in vec.items():
+                    mass[col] += w
             total = sum(mass) + 1.0 * n_feat
             lj = math.log(len(rows) / len(vectors))
-            for fid, w in sorted(query.items()):
-                lj += w * math.log((mass[pos[fid]] + 1.0) / total)
+            for col, w in sorted(query.items()):
+                lj += w * math.log((mass[col] + 1.0) / total)
             log_joint[cls] = lj
         m = max(log_joint.values())
         exp = {cls: math.exp(v - m) for cls, v in log_joint.items()}

@@ -37,18 +37,17 @@ def closed_form_nb_posteriors(vectors, labels, vocab, query, alpha=1.0):
     """Bayes posterior computed directly from the smoothed-likelihood formula."""
     classes = sorted(set(labels), key=lambda t: t.value)
     n_feat = vocab.n_selected
-    pos = {int(f): p for p, f in enumerate(vocab.selected)}
     log_joint = []
     for cls in classes:
         rows = [v for v, lab in zip(vectors, labels) if lab == cls]
         mass = [0.0] * n_feat
         for vec in rows:
-            for fid, w in vec.items():
-                mass[pos[fid]] += w
+            for col, w in vec.items():
+                mass[col] += w
         total = sum(mass) + alpha * n_feat
         lj = math.log(len(rows) / len(vectors))
-        for fid, w in sorted(query.items()):
-            lj += w * math.log((mass[pos[fid]] + alpha) / total)
+        for col, w in sorted(query.items()):
+            lj += w * math.log((mass[col] + alpha) / total)
         log_joint.append(lj)
     m = max(log_joint)
     exp = [math.exp(v - m) for v in log_joint]
@@ -221,7 +220,7 @@ def test_rf_prediction_deterministic_from_serialized_state():
     model = ForestClassifier(seed=11).fit(X, y.astype(np.int64), 3)
     restored = ForestClassifier(seed=11).load_dict(model.to_dict(), 3, d)
     row = np.asarray(X[3].todense()).ravel()
-    assert np.array_equal(model.score_row(row, 3), restored.score_row(row, 3))
+    assert np.array_equal(model.score_row(row), restored.score_row(row))
 
 
 def test_training_twice_with_same_seed_is_identical(small_dataset):

@@ -107,6 +107,17 @@ def test_predict_with_model_missing_a_key_exits_2(model_path, tmp_path,
     assert "vocabulary" in err and "Traceback" not in err
 
 
+def test_predict_with_nan_log_prior_exits_2(model_path, tmp_path, capsys):
+    payload = json.loads(model_path.read_text())
+    payload["parameters"]["log_prior"] = [float("nan")] * len(
+        payload["parameters"]["log_prior"])
+    broken = tmp_path / "nan.json"
+    broken.write_text(json.dumps(payload))  # NaN is written as NaN
+    assert main(["predict", "renamed the method", "--model", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 def test_evaluate_prints_report_table(corpus_path, tmp_path, capsys):
     json_out = tmp_path / "report.json"
     assert main(["evaluate", str(corpus_path), "--algo", "nb",

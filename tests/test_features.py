@@ -60,18 +60,20 @@ def brute_force_fisher(docs, labels, vocab):
 
 
 def brute_force_vectorize(tokens, vocab):
-    selected = {int(f) for f in vocab.selected}
+    """Positional row: column p holds feature selected[p]."""
+    column = {int(f): p for p, f in enumerate(vocab.selected)}
     weights = {}
     for n in range(1, vocab.n_max + 1):
         for i in range(len(tokens) - n + 1):
             gram = tuple(tokens[i:i + n])
             fid = vocab.index.get(gram)
-            if fid in selected:
-                weights[fid] = weights.get(fid, 0.0) + float(vocab.idf[fid])
+            if fid in column:
+                col = column[fid]
+                weights[col] = weights.get(col, 0.0) + float(vocab.idf[fid])
     norm = math.sqrt(sum(w * w for w in weights.values()))
     if norm == 0.0:
         return {}
-    return {fid: w / norm for fid, w in weights.items()}
+    return {col: w / norm for col, w in weights.items()}
 
 
 def test_idf_matches_smoothing_formula():
@@ -95,11 +97,12 @@ def test_k_select_clamps_to_vocabulary_size():
 def test_vectorize_weights_and_normalization():
     docs, _, vocab = two_doc_vocab()
     vec = vectorize(["extract", "method"], vocab)
-    pre = {vocab.index[("extract",)]: math.log(3 / 2) + 1,
-           vocab.index[("method",)]: 1.0}
+    pre = {vocab.columns[("extract",)]: math.log(3 / 2) + 1,
+           vocab.columns[("method",)]: 1.0}
     norm = math.sqrt(sum(w * w for w in pre.values()))
-    for fid, w in pre.items():
-        assert vec[fid] == pytest.approx(w / norm, abs=1e-12)
+    assert vec.keys() == pre.keys()
+    for col, w in pre.items():
+        assert vec[col] == pytest.approx(w / norm, abs=1e-12)
 
 
 def test_vectorize_out_of_vocabulary_is_empty():
@@ -111,12 +114,12 @@ def test_vectorize_counts_duplicates():
     docs = [["move", "move"], ["rename", "name"]]
     labels = [RT.MOVE_METHOD, RT.RENAME_METHOD]
     vocab = build_vocabulary(docs, labels, n_max=1, k_select=10)
-    fid = vocab.index[("move",)]
+    col = vocab.columns[("move",)]
     vec = vectorize(["move", "move"], vocab)
-    assert vec[fid] == pytest.approx(1.0)  # single nonzero, normalized
+    assert vec == {col: pytest.approx(1.0)}  # single nonzero, normalized
     # pre-normalization TF is 2: compare against a one-occurrence doc
     half = vectorize(["move", "oov"], vocab)
-    assert half[fid] == pytest.approx(1.0)
+    assert half == {col: pytest.approx(1.0)}
 
 
 def test_fisher_constant_feature_scores_zero():
@@ -234,12 +237,52 @@ def test_nonempty_vectors_have_unit_norm(docs):
 def test_vectors_to_csr_positions():
     docs, labels, vocab = two_doc_vocab()
     vecs = [vectorize(d, vocab) for d in docs]
-    X = vectors_to_csr(vecs, vocab)
+    X = vectors_to_csr(vecs, vocab.n_selected)
     assert X.shape == (2, vocab.n_selected)
     dense = np.asarray(X.todense())
     for i, vec in enumerate(vecs):
-        for fid, w in vec.items():
-            assert dense[i, vocab.position(fid)] == w
+        assert np.count_nonzero(dense[i]) == len(vec)
+        for col, w in vec.items():
+            assert dense[i, col] == w
+
+
+def test_build_vocabulary_counts_each_document_once(monkeypatch):
+    from refdoc import features
+    calls = {"count_ngrams": [], "extract_ngrams": []}
+
+    def recorded(name, fn):
+        def wrapper(tokens, n_max):
+            calls[name].append(list(tokens))
+            return fn(tokens, n_max)
+        return wrapper
+
+    # count_ngrams calls extract_ngrams, so each records every n-gram pass
+    for name, fn in (("count_ngrams", count_ngrams),
+                     ("extract_ngrams", extract_ngrams)):
+        monkeypatch.setattr(features, name, recorded(name, fn))
+    docs = [["extract", "method", "code"], ["extract", "helper"],
+            ["rename", "method"], ["rename", "name", "typo"]]
+    labels = [RT.EXTRACT_METHOD, RT.EXTRACT_METHOD, RT.RENAME_METHOD,
+              RT.RENAME_METHOD]
+    build_vocabulary(docs, labels, n_max=2, k_select=5)
+    assert calls == {"count_ngrams": docs, "extract_ngrams": docs}
+
+
+@given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_vectorize_keys_are_ascending_columns(tokens):
+    docs = [["a", "b", "c"], ["c", "d", "e"], ["a", "f"], ["e", "f", "b"]]
+    labels = [RT.EXTRACT_METHOD, RT.RENAME_METHOD, RT.EXTRACT_METHOD,
+              RT.RENAME_METHOD]
+    vocab = build_vocabulary(docs, labels, n_max=2, k_select=6)
+    assert vocab.n_selected < len(vocab.ngrams)  # some n-grams unselected
+    vec = vectorize(tokens, vocab)
+    assert list(vec) == sorted(vec)
+    assert all(0 <= col < vocab.n_selected for col in vec)
+    expected = brute_force_vectorize(tokens, vocab)
+    assert vec.keys() == expected.keys()
+    for col, w in expected.items():
+        assert vec[col] == pytest.approx(w, abs=1e-12)
 
 
 def test_extract_ngrams_orders_unigrams_then_bigrams():

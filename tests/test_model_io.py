@@ -179,6 +179,65 @@ def _no_trees(p):
     p["parameters"]["trees"] = []
 
 
+def _idf_cut_to_3(p):
+    p["vocabulary"]["idf"] = p["vocabulary"]["idf"][:3]
+
+
+def _doc_freq_one_short(p):
+    p["vocabulary"]["doc_freq"].pop()
+
+
+def _fisher_one_long(p):
+    p["vocabulary"]["fisher"].append(0.0)
+
+
+def _selected_id_out_of_range(p):
+    p["vocabulary"]["selected"][0] = len(p["vocabulary"]["ngrams"])
+
+
+def _negative_selected_id(p):
+    p["vocabulary"]["selected"][0] = -1
+
+
+def _duplicated_selected_id(p):
+    selected = p["vocabulary"]["selected"]
+    selected[1] = selected[0]
+
+
+def _fractional_selected_id(p):
+    p["vocabulary"]["selected"][0] += 0.5
+
+
+def _nan_idf(p):
+    p["vocabulary"]["idf"][0] = float("nan")
+
+
+def _nan_log_prior(p):
+    p["parameters"]["log_prior"] = [float("nan")] * len(
+        p["parameters"]["log_prior"])
+
+
+def _infinite_log_theta(p):
+    p["parameters"]["log_theta"][0][0] = float("-inf")
+
+
+def _nan_weight(p):
+    p["parameters"]["weights"][0][0] = float("nan")
+
+
+def _infinite_bias(p):
+    p["parameters"]["bias"][0] = float("inf")
+
+
+def _nan_f0(p):
+    p["parameters"]["f0"][0] = float("nan")
+
+
+def _infinite_leaf_value(p):
+    tree = _first_tree(p)
+    tree["value"][tree["feature"].index(-1)] = float("inf")
+
+
 @pytest.fixture(scope="module")
 def logreg_model(small_dataset):
     return pipeline.fit(small_dataset, ModelConfig(algorithm="logreg"))
@@ -194,6 +253,13 @@ _DAMAGE = [
     ("nb", _string_pipeline), ("nb", _number_for_ngrams),
     ("nb", _bad_hyperparameters), ("nb", _ragged_theta),
     ("nb", _nb_theta_cut_to_5_columns), ("nb", _nb_prior_for_an_extra_class),
+    ("nb", _idf_cut_to_3), ("nb", _doc_freq_one_short),
+    ("nb", _fisher_one_long), ("nb", _selected_id_out_of_range),
+    ("nb", _negative_selected_id), ("nb", _duplicated_selected_id),
+    ("nb", _fractional_selected_id), ("nb", _nan_idf),
+    ("nb", _nan_log_prior), ("nb", _infinite_log_theta),
+    ("logreg", _nan_weight), ("logreg", _infinite_bias),
+    ("gbt", _nan_f0), ("gbt", _infinite_leaf_value),
     ("logreg", _weights_for_too_few_classes),
     ("logreg", _bias_as_matrix),
     ("gbt", _self_loop), ("gbt", _right_child_out_of_range),

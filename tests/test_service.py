@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from refdoc.service import make_server
+from refdoc.service import PredictHandler, make_server
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,26 @@ def test_bad_content_length_is_400_without_reading(server, length):
                      "\r\n\r\n".encode())
         status_line = sock.makefile("rb").readline()
     assert status_line.split()[1] == b"400"
+
+
+def test_stalled_body_gets_408_and_the_connection_is_released(nb_model,
+                                                              monkeypatch):
+    monkeypatch.setattr(PredictHandler, "timeout", 0.5)
+    srv = make_server(nb_model, port=0)  # its own server: shorter timeout
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(
+                ("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+            # headers promise 100 bytes, then the client stops sending
+            sock.sendall(b"POST /predict HTTP/1.0\r\nContent-Length: 100"
+                         b"\r\n\r\n{\"message\": \"ren")
+            # reading to end of stream: the handler answered and returned
+            reply = sock.makefile("rb").read()
+    finally:
+        srv.shutdown()
+        srv.server_close()
+    assert reply.startswith(b"HTTP/1.0 408 "), reply[:80]
 
 
 def test_identical_requests_get_byte_identical_bodies(server):
