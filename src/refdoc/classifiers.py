@@ -9,6 +9,7 @@ resolve to the first class in that order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,13 +98,13 @@ def train(config: ModelConfig, vectors, labels,
     """
     vectors = list(vectors)
     labels = list(labels)
-    class_order = tuple(t for t in ALL_TYPES if t in set(labels))
+    have = Counter(labels)
+    class_order = tuple(t for t in ALL_TYPES if t in have)
     if len(class_order) < 2:
         raise SingleClass("training needs at least two classes")
     for cls in class_order:
-        have = sum(1 for lab in labels if lab == cls)
-        if have < 2:
-            raise InsufficientClass(cls.value, have, 2)
+        if have[cls] < 2:
+            raise InsufficientClass(cls.value, have[cls], 2)
     if not any(vectors):
         raise EmptyFeatures("every document vectorized to nothing")
 

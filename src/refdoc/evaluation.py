@@ -2,10 +2,10 @@
 
 Per-class F is evaluated in its integer form 2tp/(2tp+fp+fn), which equals
 2PR/(P+R) exactly and keeps every metric a single correctly rounded
-division; all 0/0 cases resolve to 0. Cross-validation pools one confusion
-matrix over all folds and rebuilds vocabulary and model per fold on the
-training folds only, through pipeline.fit, so the None-class rule of
-training applies to every fold.
+division; all 0/0 cases resolve to 0. Cross-validation counts each
+message's n-grams once, pools one confusion matrix over all folds and
+rebuilds vocabulary and model per fold from the training folds' counts
+only, through pipeline.fit, so training's None-class rule holds.
 """
 
 from __future__ import annotations
@@ -200,10 +200,10 @@ def stratified_folds(labels: Sequence[RefactoringType], folds: int,
     return [np.array(sorted(a), dtype=np.int64) for a in assignment]
 
 
-def fit_fold(dataset: Dataset, train_idx, config):
-    """Build vocabulary and model from the given training rows only."""
+def fit_fold(dataset: Dataset, train_idx, config, counts):
+    """Vocabulary and model from the train_idx rows (and their counts) only."""
     return pipeline.fit(Dataset([dataset.records[i] for i in train_idx]),
-                        config)
+                        config, [counts[i] for i in train_idx])
 
 
 def cross_validate(dataset: Dataset, config, folds: int = 10,
@@ -215,16 +215,18 @@ def cross_validate(dataset: Dataset, config, folds: int = 10,
     labels = [r.label for r in records]
     fold_idx = stratified_folds(labels, folds, seed)
     classes = dataset.classes()
+    counts = [pipeline.featurize(r.message, config.n_max) for r in records]
 
     pairs = []
     all_idx = np.arange(len(records))
     for test_idx in fold_idx:
         in_test = np.zeros(len(records), dtype=bool)
         in_test[test_idx] = True
-        model = fit_fold(dataset, all_idx[~in_test], config)
+        model = fit_fold(dataset, all_idx[~in_test], config, counts)
         for i in test_idx:
-            pred, _ = pipeline.predict_message(model, records[i].message)
-            pairs.append((records[i].label, pred))
+            pred, _ = pipeline.predict_message(model, records[i].message,
+                                               counts[i])
+            pairs.append((labels[i], pred))
 
     config_snapshot = {
         "algorithm": config.algorithm,

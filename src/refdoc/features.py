@@ -3,12 +3,12 @@
 Weighting is pinned for bit-reproducibility: TF is the raw in-document
 count, IDF is ln((1+N)/(1+df)) + 1, and document vectors over the selected
 features are L2-normalized. Fisher scores are computed over the
-unnormalized count*idf values, accumulating documents in dataset order so
-results do not depend on internal chunking.
+unnormalized count*idf values as axis-0 sums of C-ordered blocks, which
+numpy takes row by row in dataset order: bit-equal to a row-by-row loop.
 
-A vectorized document is a positional row: {column: weight} in ascending
-column order, where column p is feature selected[p]. Every estimator reads
-that row as it is; vectors_to_csr only stacks rows.
+weigh turns one document's n-gram count dict into a positional row:
+{column: weight} in ascending column order, where column p is feature
+selected[p]. Every estimator reads that row; vectors_to_csr stacks rows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import EmptyCorpus, SingleClass
 Ngram = Tuple[str, ...]
 
 FISHER_EPS = 1e-12
-_BLOCK = 4096
+_BLOCK = 256
 
 
 def extract_ngrams(tokens: Sequence[str], n_max: int) -> List[Ngram]:
@@ -52,7 +52,7 @@ class Vocabulary:
     lists the chosen feature ids ranked by Fisher score descending with
     lexicographic tie-breaking; lowering k therefore yields a prefix of the
     higher-k selection. `columns` maps each selected n-gram to its column
-    p, the position of its id in `selected`.
+    p, the position of its id in `selected`, whose idf is `column_idf[p]`.
     """
 
     ngrams: List[Ngram]
@@ -64,6 +64,7 @@ class Vocabulary:
     k_select: int
     index: Dict[Ngram, int] = field(init=False, repr=False)
     columns: Dict[Ngram, int] = field(init=False, repr=False)
+    column_idf: List[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.ngrams)
@@ -76,6 +77,7 @@ class Vocabulary:
             raise ValueError("selected must hold distinct n-gram ids")
         self.index = {g: i for i, g in enumerate(self.ngrams)}
         self.columns = {self.ngrams[f]: p for p, f in enumerate(ids)}
+        self.column_idf = [float(self.idf[f]) for f in ids]
 
     def __len__(self):
         return len(self.ngrams)
@@ -91,8 +93,8 @@ def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
     Scores are taken over the count*idf values:
     score(j) = sum_k n_k (mu_kj - mu_j)^2 / (sum_k n_k var_kj + eps) with
     population variances, eps = 1e-12. Classes are visited in canonical
-    label order and documents in dataset order, so the result is exactly
-    reproducible by a straightforward loop over the same data.
+    label order; every sum is an axis-0 sum of a C-ordered block, which
+    adds rows in dataset order, bit-equal to a straightforward loop.
     """
     n_docs, n_feat = counts.shape
     if n_docs == 0:
@@ -104,61 +106,53 @@ def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
         raise SingleClass("need at least two distinct labels")
 
     tfidf = counts.multiply(idf[np.newaxis, :]).tocsc()
-    class_rows = {c: [i for i, lab in enumerate(labels) if lab == c]
-                  for c in classes}
+    class_rows = [np.array([i for i, lab in enumerate(labels) if lab == c])
+                  for c in classes]
 
     scores = np.empty(n_feat, dtype=np.float64)
     for start in range(0, n_feat, _BLOCK):
         stop = min(start + _BLOCK, n_feat)
-        block = np.asarray(tfidf[:, start:stop].todense())
-        width = stop - start
-
-        mu_all = np.zeros(width)
-        for i in range(n_docs):            # dataset order, sequential
-            mu_all += block[i]
-        mu_all /= n_docs
-
-        num = np.zeros(width)
-        den = np.zeros(width)
-        for c in classes:                  # canonical class order
-            rows = class_rows[c]
+        block = tfidf[:, start:stop].toarray(order="C")
+        mu_all = block.sum(axis=0) / n_docs
+        num, den = np.zeros((2, stop - start))
+        for rows in class_rows:
             n_k = len(rows)
-            mu_k = np.zeros(width)
-            for i in rows:
-                mu_k += block[i]
-            mu_k /= n_k
-            ss = np.zeros(width)
-            for i in rows:
-                d = block[i] - mu_k
-                ss += d * d
+            members = block[rows]          # a C-ordered copy, squared in place
+            mu_k = members.sum(axis=0) / n_k
             diff = mu_k - mu_all
             num += n_k * (diff * diff)
-            den += n_k * (ss / n_k)
+            members -= mu_k
+            members *= members
+            den += n_k * (members.sum(axis=0) / n_k)
         scores[start:stop] = num / (den + FISHER_EPS)
     return scores
 
 
 def build_vocabulary(docs, labels, n_max: int = 2, k_select: int = 5000) -> Vocabulary:
-    """Index every n-gram of the corpus, weight it, and rank-select top k.
+    """Vocabulary of preprocessed docs: see vocabulary_from_counts."""
+    return vocabulary_from_counts([count_ngrams(t, n_max) for t in docs],
+                                  labels, n_max, k_select)
+
+
+def vocabulary_from_counts(doc_counts, labels, n_max, k_select) -> Vocabulary:
+    """Index every n-gram of the count dicts, weight it, rank-select top k.
 
     Requires at least two documents and two distinct labels. idf uses the
     smoothed formula ln((1+N)/(1+df)) + 1, so idf >= 1 everywhere and a
-    feature present in every document scores exactly 1.0. Each document's
-    n-grams are counted once, into the count matrix that df and the
-    Fisher scores are both taken from.
+    feature present in every document scores exactly 1.0. df and the
+    Fisher scores are both taken from one count matrix of the dicts.
     """
     if not 1 <= n_max <= 3:
         raise ValueError("n_max must be 1, 2, or 3")
-    docs = list(docs)
+    doc_counts = list(doc_counts)
     labels = list(labels)
-    if not docs:
+    if not doc_counts:
         raise EmptyCorpus("no documents")
-    if len(docs) != len(labels):
+    if len(doc_counts) != len(labels):
         raise ValueError("docs and labels length mismatch")
     if len(set(labels)) < 2:
         raise SingleClass("need at least two distinct labels")
 
-    doc_counts = [count_ngrams(tokens, n_max) for tokens in docs]
     ngrams = sorted(set().union(*doc_counts))
     if not ngrams:
         raise EmptyCorpus("every document is empty after preprocessing")
@@ -168,7 +162,7 @@ def build_vocabulary(docs, labels, n_max: int = 2, k_select: int = 5000) -> Voca
         len(ngrams))
 
     doc_freq = np.bincount(counts.indices, minlength=len(ngrams))
-    idf = np.log((1.0 + len(docs)) / (1.0 + doc_freq)) + 1.0
+    idf = np.log((1.0 + len(doc_counts)) / (1.0 + doc_freq)) + 1.0
     fisher = fisher_scores(counts, labels, idf)
 
     order = sorted(range(len(ngrams)), key=lambda j: (-fisher[j], ngrams[j]))
@@ -180,7 +174,12 @@ def build_vocabulary(docs, labels, n_max: int = 2, k_select: int = 5000) -> Voca
 
 
 def vectorize(tokens, vocab: Vocabulary) -> Dict[int, float]:
-    """Positional TF-IDF row of one preprocessed doc: {column: weight}.
+    """Positional TF-IDF row of one preprocessed doc: see weigh."""
+    return weigh(count_ngrams(tokens, vocab.n_max), vocab)
+
+
+def weigh(counts: Dict[Ngram, int], vocab: Vocabulary) -> Dict[int, float]:
+    """Positional TF-IDF row of one doc's n-gram counts: {column: weight}.
 
     weight = count(g in doc) * idf(g) for each selected n-gram g, at g's
     column, then the row is L2-normalized and ordered by column.
@@ -188,10 +187,10 @@ def vectorize(tokens, vocab: Vocabulary) -> Dict[int, float]:
     yields the empty row.
     """
     weights: Dict[int, float] = {}
-    for gram, count in count_ngrams(tokens, vocab.n_max).items():
+    for gram, count in counts.items():
         col = vocab.columns.get(gram)
         if col is not None:
-            weights[col] = count * float(vocab.idf[vocab.selected[col]])
+            weights[col] = count * vocab.column_idf[col]
     if not weights:
         return {}
     norm = math.sqrt(math.fsum(w * w for w in weights.values()))

@@ -1,4 +1,4 @@
-"""End-to-end glue: dataset -> preprocessed docs -> vocabulary -> model.
+"""End-to-end glue: dataset -> n-gram counts -> vocabulary -> model.
 
 The one fit path and the one message-to-label path: the CLI,
 cross-validation, the inconsistency report and the service all call fit
@@ -12,13 +12,19 @@ from .corpus import Dataset, RefactoringType
 from .errors import UnknownLabel
 
 
-def fit(dataset: Dataset,
-        config: classifiers.ModelConfig) -> classifiers.TrainedModel:
+def featurize(message: str, n_max: int):
+    """N-gram counts of one raw commit message."""
+    return features.count_ngrams(textprep.preprocess(message), n_max)
+
+
+def fit(dataset: Dataset, config: classifiers.ModelConfig,
+        counts=None) -> classifiers.TrainedModel:
     """Train the configured pipeline on a fully labeled dataset.
 
     None-labeled rows are rejected unless the config says include_none, and
     include_none demands that such rows exist rather than synthesizing
-    them.
+    them. counts, if given, holds featurize's dict of each record, from a
+    caller that counted them already.
     """
     records = list(dataset)
     if any(r.label is None for r in records):
@@ -31,18 +37,21 @@ def fit(dataset: Dataset,
         raise UnknownLabel(
             "include_none requires None-labeled rows in the corpus")
 
-    docs = [textprep.preprocess(r.message) for r in records]
+    if counts is None:
+        counts = [featurize(r.message, config.n_max) for r in records]
     labels = [r.label for r in records]
-    vocab = features.build_vocabulary(docs, labels, n_max=config.n_max,
-                                      k_select=config.k_select)
-    vectors = [features.vectorize(doc, vocab) for doc in docs]
+    vocab = features.vocabulary_from_counts(counts, labels, config.n_max,
+                                            config.k_select)
+    vectors = [features.weigh(c, vocab) for c in counts]
     return classifiers.train(config, vectors, labels, vocab)
 
 
-def predict_message(model: classifiers.TrainedModel, message: str):
-    """(label, scores) for one raw commit message."""
-    doc = textprep.preprocess(message)
-    vec = features.vectorize(doc, model.vocab)
-    scores = classifiers.predict(model, vec)
+def predict_message(model: classifiers.TrainedModel, message: str,
+                    counts=None):
+    """(label, scores) for one raw commit message, or for its featurize
+    counts when the caller holds them already."""
+    if counts is None:
+        counts = featurize(message, model.vocab.n_max)
+    scores = classifiers.predict(model, features.weigh(counts, model.vocab))
     label = classifiers.predicted_label(scores, model.class_order)
     return label, scores

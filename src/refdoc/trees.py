@@ -13,6 +13,7 @@ so training is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -80,13 +81,14 @@ class Tree:
         """Rebuild a tree, rejecting any structure predict_row could not walk.
 
         Children come after their parent, so a valid tree has no cycles.
-        With n_classes, leaf values must be class indices below it.
+        Feature ids and child indices must be integers; with n_classes,
+        leaf values must be whole-number class indices below it.
         """
         tree = cls()
-        tree.feature = [int(x) for x in d["feature"]]
+        tree.feature = [operator.index(x) for x in d["feature"]]
         tree.threshold = [float(x) for x in d["threshold"]]
-        tree.left = [int(x) for x in d["left"]]
-        tree.right = [int(x) for x in d["right"]]
+        tree.left = [operator.index(x) for x in d["left"]]
+        tree.right = [operator.index(x) for x in d["right"]]
         tree.value = [float(x) for x in d["value"]]
         n = len(tree.feature)
         if n == 0 or any(len(a) != n for a in (tree.threshold, tree.left,
@@ -99,7 +101,7 @@ class Tree:
                 if not (feat < n_features and node < tree.left[node] < n
                         and node < tree.right[node] < n):
                     raise ValueError(f"tree node {node} is not a valid split")
-            elif n_classes is not None and not 0 <= tree.value[node] < n_classes:
+            elif n_classes is not None and tree.value[node] not in range(n_classes):
                 raise ValueError(f"tree leaf {node} names no class")
         return tree
 

@@ -29,6 +29,7 @@ from refdoc.evaluation import (
 )
 from refdoc.features import FISHER_EPS, build_vocabulary, vectorize
 from refdoc.logreg import logreg_gradient, logreg_loss
+from refdoc.pipeline import featurize
 
 
 def _pass(line):
@@ -261,14 +262,17 @@ def test_fold_stratification_and_leakage_guard():
     fold_idx = stratified_folds([r.label for r in ds], 3, seed=1)
     test_fold = fold_idx[0]
     train_idx = np.array(sorted(set(range(len(ds))) - set(test_fold)))
-    before = fit_fold(ds, train_idx, ModelConfig(algorithm="nb"))
+    config = ModelConfig(algorithm="nb")
+    before = fit_fold(ds, train_idx, config,
+                      [featurize(r.message, config.n_max) for r in ds])
 
     mutated = list(ds.records)
     victim = int(test_fold[0])
     mutated[victim] = CommitRecord(mutated[victim].id, "p",
                                    "wholly unrelated perturbation text",
                                    mutated[victim].label)
-    after = fit_fold(Dataset(mutated), train_idx, ModelConfig(algorithm="nb"))
+    after = fit_fold(Dataset(mutated), train_idx, config,
+                     [featurize(r.message, config.n_max) for r in mutated])
     assert before.vocab.ngrams == after.vocab.ngrams
     assert np.array_equal(before.vocab.idf, after.vocab.idf)
     assert np.array_equal(before.vocab.fisher, after.vocab.fisher)

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from refdoc import pipeline, textprep
 from refdoc.classifiers import ModelConfig
 from refdoc.corpus import CommitRecord, Dataset, METHOD_TYPES
 from refdoc.corpus import RefactoringType as RT
@@ -16,8 +18,10 @@ from refdoc.evaluation import (
     fit_fold,
     macro_metrics,
     per_class_metrics,
+    report_from_pairs,
     stratified_folds,
 )
+from refdoc.synthetic import generate_corpus
 
 C2 = (RT.EXTRACT_METHOD, RT.RENAME_METHOD)
 
@@ -170,6 +174,13 @@ def test_cross_validate_deterministic():
     assert np.array_equal(r1.matrix.counts, r2.matrix.counts)
 
 
+def fold_model(ds, train_idx):
+    """fit_fold as cross_validate calls it: every row's counts are passed."""
+    config = ModelConfig(algorithm="nb")
+    counts = [pipeline.featurize(r.message, config.n_max) for r in ds]
+    return fit_fold(ds, train_idx, config, counts)
+
+
 def test_fold_models_ignore_test_fold_documents():
     ds = small_cv_dataset()
     labels = [r.label for r in ds]
@@ -177,14 +188,14 @@ def test_fold_models_ignore_test_fold_documents():
     test_idx = folds[0]
     train_idx = np.array(sorted(set(range(len(ds))) - set(test_idx)))
 
-    model_a = fit_fold(ds, train_idx, ModelConfig(algorithm="nb"))
+    model_a = fold_model(ds, train_idx)
 
     perturbed = list(ds.records)
     victim = int(test_idx[0])
     perturbed[victim] = CommitRecord(
         perturbed[victim].id, "p", "entirely different unrelated words",
         perturbed[victim].label)
-    model_b = fit_fold(Dataset(perturbed), train_idx, ModelConfig(algorithm="nb"))
+    model_b = fold_model(Dataset(perturbed), train_idx)
 
     assert model_a.vocab.ngrams == model_b.vocab.ngrams
     assert np.array_equal(model_a.vocab.idf, model_b.vocab.idf)
@@ -210,3 +221,40 @@ def test_baseline_report_no_match_goes_to_none_column(synthetic_dataset):
     # macro averages only classes with true instances
     mean_f = sum(report.per_class[c].f_measure for c in METHOD_TYPES) / 6
     assert report.macro.f_measure == pytest.approx(mean_f, abs=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["nb", "gbt"])
+def test_cross_validate_equals_fit_and_predict_per_fold(algorithm):
+    ds = generate_corpus(seed=3, per_class=10)
+    config = ModelConfig(algorithm=algorithm)
+    folds = stratified_folds([r.label for r in ds], 3, seed=4)
+    pairs = []
+    for test_idx in folds:
+        held_out = set(test_idx.tolist())
+        model = pipeline.fit(Dataset([r for i, r in enumerate(ds.records)
+                                      if i not in held_out]), config)
+        for i in test_idx:
+            rec = ds.records[i]
+            label, _ = pipeline.predict_message(model, rec.message)
+            pairs.append((rec.label, label))
+    snapshot = {"algorithm": algorithm,
+                "hyperparameters": config.hyperparameters,
+                "n_max": config.n_max, "k_select": config.k_select,
+                "seed": config.seed, "include_none": config.include_none}
+    expected = report_from_pairs(pairs, ds.classes(), snapshot, 3, 4)
+    got = cross_validate(ds, config, folds=3, seed=4)
+    assert got.to_json() == expected.to_json()
+
+
+def test_cross_validate_preprocesses_each_message_once(monkeypatch):
+    seen = []
+    original = textprep.preprocess
+
+    def counting(message):
+        seen.append(message)
+        return original(message)
+
+    monkeypatch.setattr(textprep, "preprocess", counting)
+    ds = small_cv_dataset()
+    cross_validate(ds, ModelConfig(algorithm="nb"), folds=3, seed=0)
+    assert Counter(seen) == Counter(r.message for r in ds)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from refdoc.features import (
     vectorize,
     vectors_to_csr,
 )
+from refdoc.synthetic import generate_corpus
+from refdoc.textprep import preprocess
 
 
 def two_doc_vocab():
@@ -288,3 +291,86 @@ def test_vectorize_keys_are_ascending_columns(tokens):
 def test_extract_ngrams_orders_unigrams_then_bigrams():
     assert extract_ngrams(["a", "b", "c"], 2) == \
         [("a",), ("b",), ("c",), ("a", "b"), ("b", "c")]
+
+
+def reference_fisher_scores(counts, labels, idf):
+    """The row-by-row Fisher loop that the block reductions replaced,
+    kept verbatim (bar the checks) as the bit-exact reference."""
+    n_docs, n_feat = counts.shape
+    classes = sorted(set(labels), key=lambda t: t.value)
+    block_width = 4096
+
+    tfidf = counts.multiply(idf[np.newaxis, :]).tocsc()
+    class_rows = {c: [i for i, lab in enumerate(labels) if lab == c]
+                  for c in classes}
+
+    scores = np.empty(n_feat, dtype=np.float64)
+    for start in range(0, n_feat, block_width):
+        stop = min(start + block_width, n_feat)
+        block = np.asarray(tfidf[:, start:stop].todense())
+        width = stop - start
+
+        mu_all = np.zeros(width)
+        for i in range(n_docs):            # dataset order, sequential
+            mu_all += block[i]
+        mu_all /= n_docs
+
+        num = np.zeros(width)
+        den = np.zeros(width)
+        for c in classes:                  # canonical class order
+            rows = class_rows[c]
+            n_k = len(rows)
+            mu_k = np.zeros(width)
+            for i in rows:
+                mu_k += block[i]
+            mu_k /= n_k
+            ss = np.zeros(width)
+            for i in rows:
+                d = block[i] - mu_k
+                ss += d * d
+            diff = mu_k - mu_all
+            num += n_k * (diff * diff)
+            den += n_k * (ss / n_k)
+        scores[start:stop] = num / (den + FISHER_EPS)
+    return scores
+
+
+def count_matrix(docs, vocab):
+    """docs x n-grams count matrix in the vocabulary's feature ids."""
+    rows = []
+    for tokens in docs:
+        counts = count_ngrams(tokens, vocab.n_max)
+        rows.append(dict(sorted((vocab.index[g], c) for g, c in counts.items())))
+    return vectors_to_csr(rows, len(vocab.ngrams))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fisher_scores_bit_equal_to_row_by_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(60)]
+    classes = list(RT)[:int(rng.integers(2, 7))]
+    docs = [[str(w) for w in rng.choice(words, size=int(rng.integers(1, 9)))]
+            for _ in range(int(rng.integers(150, 300)))]
+    labels = [classes[i % len(classes)] if i < len(classes)
+              else classes[int(rng.integers(len(classes)))]
+              for i in range(len(docs))]   # every class, rows interleaved
+    vocab = build_vocabulary(docs, labels, n_max=2, k_select=10 ** 6)
+    assert len(vocab.ngrams) > 2 * 256   # three blocks or more
+    expected = reference_fisher_scores(count_matrix(docs, vocab), labels,
+                                       vocab.idf)
+    assert np.array_equal(vocab.fisher, expected)
+
+
+def test_fisher_scores_traced_peak_on_the_paper_sized_corpus():
+    dataset = generate_corpus(per_class=834)
+    docs = [preprocess(r.message) for r in dataset]
+    labels = [r.label for r in dataset]
+    vocab = build_vocabulary(docs, labels, n_max=2, k_select=5000)
+    counts = count_matrix(docs, vocab)
+    tracemalloc.start()
+    try:
+        fisher_scores(counts, labels, vocab.idf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"

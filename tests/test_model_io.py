@@ -137,6 +137,25 @@ def _feature_out_of_range(p):
     _first_tree(p)["feature"][0] = len(p["vocabulary"]["selected"])
 
 
+def _last_split(tree):
+    return max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def _fractional_feature_id(p):
+    tree = _first_tree(p)
+    tree["feature"][_last_split(tree)] += 0.7  # int() would truncate it
+
+
+def _fractional_child_index(p):
+    tree = _first_tree(p)
+    tree["left"][_last_split(tree)] += 0.5
+
+
+def _fractional_leaf_class(p):
+    tree = _first_tree(p)
+    tree["value"][tree["feature"].index(-1)] = 0.5
+
+
 def _infinite_feature_id(p):
     _first_tree(p)["feature"][0] = float("inf")  # written as Infinity
 
@@ -264,6 +283,7 @@ _DAMAGE = [
     ("logreg", _bias_as_matrix),
     ("gbt", _self_loop), ("gbt", _right_child_out_of_range),
     ("gbt", _feature_out_of_range), ("gbt", _infinite_feature_id),
+    ("gbt", _fractional_feature_id), ("gbt", _fractional_child_index),
     ("gbt", _tree_arrays_of_unequal_length),
     ("gbt", _right_child_before_its_parent),
     ("gbt", _empty_tree), ("gbt", _f0_for_too_few_classes),
@@ -271,7 +291,7 @@ _DAMAGE = [
     ("rf", _leaf_class_99), ("rf", _negative_leaf_class),
     ("rf", _left_child_before_its_parent), ("rf", _no_trees),
     ("rf", _self_loop), ("rf", _feature_out_of_range),
-    ("rf", _left_child_out_of_range),
+    ("rf", _left_child_out_of_range), ("rf", _fractional_leaf_class),
 ]
 
 
