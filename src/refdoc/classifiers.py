@@ -21,10 +21,10 @@ from .logreg import LogisticOvA
 from .naive_bayes import NaiveBayes
 from .trees import BoostedClassifier, ForestClassifier
 
-ALGORITHMS = ("nb", "logreg", "rf", "gbt")
-
 #: Published defaults per algorithm (random forest, logistic regression,
-#: gradient boosted trees) plus the Laplace alpha for naive Bayes.
+#: gradient boosted trees) plus the Laplace alpha for naive Bayes. The only
+#: place a hyperparameter name or default lives: each key is a keyword of
+#: the algorithm's estimator class in ESTIMATORS.
 DEFAULT_HYPERPARAMETERS = {
     "nb": {"alpha": 1.0},
     "logreg": {"l2_weight": 1.0, "optimization_tolerance": 1e-7,
@@ -34,6 +34,11 @@ DEFAULT_HYPERPARAMETERS = {
     "gbt": {"max_leaves": 20, "min_samples_per_leaf": 10,
             "learning_rate": 0.2, "n_trees": 100},
 }
+
+ESTIMATORS = {"nb": NaiveBayes, "logreg": LogisticOvA,
+              "rf": ForestClassifier, "gbt": BoostedClassifier}
+
+ALGORITHMS = tuple(DEFAULT_HYPERPARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        merged = dict(DEFAULT_HYPERPARAMETERS[self.algorithm])
+        defaults = DEFAULT_HYPERPARAMETERS[self.algorithm]
+        unknown = [k for k in self.hyperparameters if k not in defaults]
+        if unknown:
+            raise ValueError(f"unknown {self.algorithm} hyperparameters: "
+                             + ", ".join(map(repr, unknown)))
+        merged = dict(defaults)
         merged.update(self.hyperparameters)
         object.__setattr__(self, "hyperparameters", merged)
 
@@ -70,23 +80,8 @@ def dense_row(vec: dict, vocab: Vocabulary) -> np.ndarray:
 
 def make_estimator(config: ModelConfig):
     """The untrained estimator for config, hyperparameters applied."""
-    hp = config.hyperparameters
-    if config.algorithm == "nb":
-        return NaiveBayes(alpha=hp["alpha"])
-    if config.algorithm == "logreg":
-        return LogisticOvA(l2_weight=hp["l2_weight"],
-                           optimization_tolerance=hp["optimization_tolerance"],
-                           max_iterations=hp["max_iterations"])
-    if config.algorithm == "rf":
-        return ForestClassifier(
-            n_estimators=hp["n_estimators"], max_depth=hp["max_depth"],
-            random_splits_per_node=hp["random_splits_per_node"],
-            min_samples_per_leaf=hp["min_samples_per_leaf"],
-            seed=config.seed)
-    return BoostedClassifier(
-        n_trees=hp["n_trees"], max_leaves=hp["max_leaves"],
-        min_samples_per_leaf=hp["min_samples_per_leaf"],
-        learning_rate=hp["learning_rate"])
+    seed = {"seed": config.seed} if config.algorithm == "rf" else {}
+    return ESTIMATORS[config.algorithm](**config.hyperparameters, **seed)
 
 
 def train(config: ModelConfig, vectors, labels,

@@ -90,9 +90,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.records)
 
-    def labeled(self) -> "Dataset":
-        return Dataset(r for r in self.records if r.label is not None)
-
     def classes(self):
         """Classes present, in canonical (alphabetical) order."""
         return tuple(t for t in ALL_TYPES if t in self.class_counts)

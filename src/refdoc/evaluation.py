@@ -11,7 +11,7 @@ only, through pipeline.fit, so training's None-class rule holds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -202,8 +202,8 @@ def stratified_folds(labels: Sequence[RefactoringType], folds: int,
 
 def fit_fold(dataset: Dataset, train_idx, config, counts):
     """Vocabulary and model from the train_idx rows (and their counts) only."""
-    return pipeline.fit(Dataset([dataset.records[i] for i in train_idx]),
-                        config, [counts[i] for i in train_idx])
+    return pipeline.fit([dataset.records[i] for i in train_idx], config,
+                        [counts[i] for i in train_idx])
 
 
 def cross_validate(dataset: Dataset, config, folds: int = 10,
@@ -227,13 +227,4 @@ def cross_validate(dataset: Dataset, config, folds: int = 10,
             pred, _ = pipeline.predict_message(model, records[i].message,
                                                counts[i])
             pairs.append((labels[i], pred))
-
-    config_snapshot = {
-        "algorithm": config.algorithm,
-        "hyperparameters": config.hyperparameters,
-        "n_max": config.n_max,
-        "k_select": config.k_select,
-        "seed": config.seed,
-        "include_none": config.include_none,
-    }
-    return report_from_pairs(pairs, classes, config_snapshot, folds, seed)
+    return report_from_pairs(pairs, classes, asdict(config), folds, seed)

@@ -158,15 +158,15 @@ def vocabulary_from_counts(doc_counts, labels, n_max, k_select) -> Vocabulary:
         raise EmptyCorpus("every document is empty after preprocessing")
     index = {g: i for i, g in enumerate(ngrams)}
     counts = vectors_to_csr(
-        [dict(sorted((index[g], c) for g, c in dc.items())) for dc in doc_counts],
+        [{index[g]: c for g, c in dc.items()} for dc in doc_counts],
         len(ngrams))
 
     doc_freq = np.bincount(counts.indices, minlength=len(ngrams))
     idf = np.log((1.0 + len(doc_counts)) / (1.0 + doc_freq)) + 1.0
     fisher = fisher_scores(counts, labels, idf)
 
-    order = sorted(range(len(ngrams)), key=lambda j: (-fisher[j], ngrams[j]))
-    selected = np.array(order[:min(k_select, len(ngrams))], dtype=np.int64)
+    # ngrams is sorted, so a stable sort breaks score ties lexicographically
+    selected = np.argsort(-fisher, kind="stable")[:k_select].astype(np.int64)
     return Vocabulary(
         ngrams=ngrams, doc_freq=doc_freq, idf=idf, fisher=fisher,
         selected=selected, n_max=n_max, k_select=k_select,
@@ -198,12 +198,14 @@ def weigh(counts: Dict[Ngram, int], vocab: Vocabulary) -> Dict[int, float]:
 
 
 def vectors_to_csr(rows, n_columns: int) -> sparse.csr_matrix:
-    """Stack positional rows ({column: value}, ascending) into CSR."""
+    """Stack positional rows ({column: value}, any column order) into CSR."""
     indices = [c for row in rows for c in row]
     data = [v for row in rows for v in row.values()]
     indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
-    return sparse.csr_matrix(
+    X = sparse.csr_matrix(
         (np.asarray(data, dtype=np.float64),
          np.asarray(indices, dtype=np.int64), indptr),
         shape=(len(rows), n_columns),
     )
+    X.sort_indices()
+    return X

@@ -41,7 +41,7 @@ def logreg_gradient(weights, bias, X, y, l2_weight):
     return np.asarray(grad_w).ravel(), grad_b
 
 
-def fit_binary(X, y, l2_weight=1.0, tol=1e-7, max_iter=5000):
+def fit_binary(X, y, *, l2_weight, tol, max_iter):
     """Gradient descent with backtracking line search on one binary problem."""
     n_features = X.shape[1]
     w = np.zeros(n_features, dtype=np.float64)
@@ -72,8 +72,7 @@ def fit_binary(X, y, l2_weight=1.0, tol=1e-7, max_iter=5000):
 
 
 class LogisticOvA:
-    def __init__(self, l2_weight=1.0, optimization_tolerance=1e-7,
-                 max_iterations=5000):
+    def __init__(self, *, l2_weight, optimization_tolerance, max_iterations):
         self.l2_weight = float(l2_weight)
         self.tol = float(optimization_tolerance)
         self.max_iter = int(max_iterations)
@@ -86,7 +85,8 @@ class LogisticOvA:
         self.bias = np.zeros(n_classes, dtype=np.float64)
         for c in range(n_classes):
             y = (y_idx == c).astype(np.float64)
-            w, b = fit_binary(X_csr, y, self.l2_weight, self.tol, self.max_iter)
+            w, b = fit_binary(X_csr, y, l2_weight=self.l2_weight,
+                              tol=self.tol, max_iter=self.max_iter)
             self.weights[c] = w
             self.bias[c] = b
         return self

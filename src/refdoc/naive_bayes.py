@@ -1,9 +1,9 @@
 """Multinomial naive Bayes over TF-IDF mass.
 
 Operating on TF-IDF weights rather than raw counts keeps the featurization
-path identical across all algorithms; smoothing is Laplace with alpha = 1
-by default. Scores are exact posteriors (softmax of log-joints), so they
-sum to one.
+path identical across all algorithms; smoothing is Laplace with the
+configured alpha. Scores are exact posteriors (softmax of log-joints), so
+they sum to one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 
 class NaiveBayes:
-    def __init__(self, alpha=1.0):
+    def __init__(self, *, alpha):
         self.alpha = float(alpha)
         self.log_prior = None
         self.log_theta = None  # classes x features

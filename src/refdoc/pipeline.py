@@ -7,8 +7,10 @@ and predict_message rather than repeating their steps.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from . import classifiers, features, textprep
-from .corpus import Dataset, RefactoringType
+from .corpus import CommitRecord, RefactoringType
 from .errors import UnknownLabel
 
 
@@ -17,14 +19,16 @@ def featurize(message: str, n_max: int):
     return features.count_ngrams(textprep.preprocess(message), n_max)
 
 
-def fit(dataset: Dataset, config: classifiers.ModelConfig,
+def fit(dataset: Iterable[CommitRecord], config: classifiers.ModelConfig,
         counts=None) -> classifiers.TrainedModel:
-    """Train the configured pipeline on a fully labeled dataset.
+    """Train the configured pipeline on fully labeled records.
 
-    None-labeled rows are rejected unless the config says include_none, and
-    include_none demands that such rows exist rather than synthesizing
-    them. counts, if given, holds featurize's dict of each record, from a
-    caller that counted them already.
+    dataset is any iterable of records, a corpus.Dataset or a plain list
+    such as one cross-validation fold's training rows. None-labeled rows
+    are rejected unless the config says include_none, and include_none
+    demands that such rows exist rather than synthesizing them. counts,
+    if given, holds featurize's dict of each record, from a caller that
+    counted them already.
     """
     records = list(dataset)
     if any(r.label is None for r in records):

@@ -203,8 +203,8 @@ def fit_regression_tree(csc, g, h, max_leaves, min_leaf):
 class BoostedClassifier:
     """One-vs-all gradient boosting with logistic loss."""
 
-    def __init__(self, n_trees=100, max_leaves=20, min_samples_per_leaf=10,
-                 learning_rate=0.2):
+    def __init__(self, *, n_trees, max_leaves, min_samples_per_leaf,
+                 learning_rate):
         self.n_trees = int(n_trees)
         self.max_leaves = int(max_leaves)
         self.min_leaf = int(min_samples_per_leaf)
@@ -291,8 +291,8 @@ class BoostedClassifier:
 class ForestClassifier:
     """Bagged trees with random split candidates; score = vote fraction."""
 
-    def __init__(self, n_estimators=8, max_depth=32, random_splits_per_node=128,
-                 min_samples_per_leaf=1, seed=0):
+    def __init__(self, *, n_estimators, max_depth, random_splits_per_node,
+                 min_samples_per_leaf, seed):
         self.n_estimators = int(n_estimators)
         self.max_depth = int(max_depth)
         self.n_candidates = int(random_splits_per_node)

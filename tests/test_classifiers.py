@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from scipy import sparse
 from refdoc import pipeline
 from refdoc.classifiers import (
     DEFAULT_HYPERPARAMETERS,
+    ESTIMATORS,
     ModelConfig,
+    make_estimator,
     predict,
     predicted_label,
     train,
@@ -18,8 +21,7 @@ from refdoc.classifiers import (
 from refdoc.corpus import RefactoringType as RT
 from refdoc.errors import EmptyFeatures, InsufficientClass, NonFinite, SingleClass
 from refdoc.features import build_vocabulary, vectorize
-from refdoc.logreg import logreg_gradient, logreg_loss
-from refdoc.trees import BoostedClassifier, ForestClassifier
+from refdoc.logreg import fit_binary, logreg_gradient, logreg_loss
 
 
 def toy_corpus():
@@ -64,6 +66,33 @@ def test_table5_defaults():
         "n_trees": 100}
     assert DEFAULT_HYPERPARAMETERS["logreg"]["l2_weight"] == 1
     assert DEFAULT_HYPERPARAMETERS["logreg"]["optimization_tolerance"] == 1e-7
+
+
+def test_unknown_hyperparameter_is_rejected_by_name():
+    with pytest.raises(ValueError, match="n_tree"):
+        ModelConfig(algorithm="gbt", hyperparameters={"n_tree": 10})
+    with pytest.raises(ValueError, match="'depth'.*'seed'"):
+        ModelConfig(algorithm="rf",
+                    hyperparameters={"depth": 3, "n_estimators": 2, "seed": 1})
+    with pytest.raises(ValueError, match="alpha"):
+        ModelConfig(algorithm="gbt", hyperparameters={"alpha": 1.0})
+
+
+@pytest.mark.parametrize("algo", list(DEFAULT_HYPERPARAMETERS))
+def test_estimator_keywords_are_the_table_keys_without_defaults(algo):
+    params = inspect.signature(ESTIMATORS[algo]).parameters
+    expected = set(DEFAULT_HYPERPARAMETERS[algo]) | ({"seed"} if algo == "rf"
+                                                     else set())
+    assert set(params) == expected
+    assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty
+               for p in params.values())
+
+
+def test_fit_binary_hyperparameters_have_no_defaults():
+    params = inspect.signature(fit_binary).parameters
+    assert [p for p in params if params[p].kind is params[p].KEYWORD_ONLY] == [
+        "l2_weight", "tol", "max_iter"]
+    assert all(p.default is p.empty for p in params.values())
 
 
 def test_nb_posterior_matches_closed_form_bayes():
@@ -205,7 +234,8 @@ def test_gbt_training_loss_never_increases():
     X = sparse.csr_matrix(np.where(rng.random((n, d)) < 0.1,
                                    rng.random((n, d)), 0.0))
     y = (rng.random(n) > 0.5).astype(np.int64)
-    model = BoostedClassifier(n_trees=30).fit(X, y, 2)
+    model = make_estimator(ModelConfig(
+        algorithm="gbt", hyperparameters={"n_trees": 30})).fit(X, y, 2)
     losses = model.training_loss_curve(X, y, cls=1)
     for before, after in zip(losses, losses[1:]):
         assert after <= before + 1e-9
@@ -217,8 +247,9 @@ def test_rf_prediction_deterministic_from_serialized_state():
     X = sparse.csr_matrix(np.where(rng.random((n, d)) < 0.2,
                                    rng.random((n, d)), 0.0))
     y = rng.integers(0, 3, size=n)
-    model = ForestClassifier(seed=11).fit(X, y.astype(np.int64), 3)
-    restored = ForestClassifier(seed=11).load_dict(model.to_dict(), 3, d)
+    config = ModelConfig(algorithm="rf", seed=11)
+    model = make_estimator(config).fit(X, y.astype(np.int64), 3)
+    restored = make_estimator(config).load_dict(model.to_dict(), 3, d)
     row = np.asarray(X[3].todense()).ravel()
     assert np.array_equal(model.score_row(row), restored.score_row(row))
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +213,30 @@ def test_evaluate_follows_train_none_class_rule(corpus_path, tmp_path, capsys,
     assert "include_none" in train_err
     assert main(["evaluate"] + args + ["--folds", "3"]) == 2
     assert capsys.readouterr().err == train_err
+
+
+def test_predict_with_stray_hyperparameter_exits_2(model_path, tmp_path,
+                                                   capsys):
+    payload = json.loads(model_path.read_text())
+    payload["hyperparameters"]["alpha_"] = 2.0
+    broken = tmp_path / "stray.json"
+    broken.write_text(json.dumps(payload))
+    assert main(["predict", "renamed the method", "--model", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert "alpha_" in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize stays resident once imported, which the benchmark's
+    # peak-memory bound on `refdoc train` does not allow for
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, refdoc.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_predict_with_self_looping_tree_exits_2(gbt_model, tmp_path):

@@ -258,3 +258,17 @@ def test_cross_validate_preprocesses_each_message_once(monkeypatch):
     ds = small_cv_dataset()
     cross_validate(ds, ModelConfig(algorithm="nb"), folds=3, seed=0)
     assert Counter(seen) == Counter(r.message for r in ds)
+
+
+def test_cross_validate_builds_no_dataset_per_fold(monkeypatch):
+    ds = small_cv_dataset()
+    built = []
+    original = Dataset.__init__
+
+    def counting(self, records):
+        built.append(self)
+        original(self, records)
+
+    monkeypatch.setattr(Dataset, "__init__", counting)
+    cross_validate(ds, ModelConfig(algorithm="nb"), folds=3, seed=0)
+    assert built == []

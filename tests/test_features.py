@@ -374,3 +374,27 @@ def test_fisher_scores_traced_peak_on_the_paper_sized_corpus():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def reference_ranking(ngrams, fisher, k_select):
+    """The Python-sort ranking that the stable argsort replaced, verbatim."""
+    order = sorted(range(len(ngrams)), key=lambda j: (-fisher[j], ngrams[j]))
+    return np.array(order[:min(k_select, len(ngrams))], dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_selection_equals_the_python_sort_ranking(seed):
+    # every document appears several times, so many n-grams tie exactly
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(25)]
+    base = [[str(w) for w in rng.choice(words, size=int(rng.integers(1, 6)))]
+            for _ in range(30)]
+    docs = [d for d in base for _ in range(int(rng.integers(2, 5)))]
+    classes = list(RT)[:3]
+    labels = [classes[i % 3] for i in range(len(docs))]
+    for k_select in (10, 10 ** 6):
+        vocab = build_vocabulary(docs, labels, n_max=2, k_select=k_select)
+        _, tie_counts = np.unique(vocab.fisher, return_counts=True)
+        assert tie_counts.max() > 1
+        assert np.array_equal(vocab.selected, reference_ranking(
+            vocab.ngrams, vocab.fisher, k_select))

@@ -14,11 +14,18 @@ import pytest
 from scipy import sparse
 
 from refdoc import trees
+from refdoc.classifiers import ModelConfig, make_estimator
 from refdoc.kernels import build_sorted_csc, get_kernels
 from refdoc.trees import BoostedClassifier, Tree, sigmoid
 
 KERNEL_NAMES = ("gbt_best_split", "gbt_partition", "rf_best_candidate",
                 "rf_partition")
+
+
+def estimator(algorithm, **hyperparameters):
+    """The untrained estimator, defaults filled in from the one table."""
+    return make_estimator(ModelConfig(algorithm=algorithm,
+                                      hyperparameters=hyperparameters))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +370,8 @@ def test_boosted_model_matches_reference_grower(seed):
     y[:n_classes] = np.arange(n_classes)
     min_leaf = 1 + seed % 5
     X = sparse.csr_matrix(dense)
-    model = BoostedClassifier(n_trees=6, max_leaves=8,
-                              min_samples_per_leaf=min_leaf).fit(X, y, n_classes)
+    model = estimator("gbt", n_trees=6, max_leaves=8,
+                      min_samples_per_leaf=min_leaf).fit(X, y, n_classes)
     assert model.to_dict() == reference_boosted(
         X, y, n_classes, n_trees=6, max_leaves=8, min_leaf=min_leaf,
         learning_rate=model.learning_rate)
@@ -373,7 +380,6 @@ def test_boosted_model_matches_reference_grower(seed):
 def test_boosted_model_on_corpus_matches_reference_grower(small_dataset,
                                                           monkeypatch):
     from refdoc import pipeline
-    from refdoc.classifiers import ModelConfig
 
     captured = {}
     real_fit = BoostedClassifier.fit
@@ -481,8 +487,8 @@ def test_boosted_fit_deterministic():
     dense = np.where(rng.random((n, d)) < 0.12, rng.random((n, d)), 0.0)
     X = sparse.csr_matrix(dense)
     y = rng.integers(0, 3, size=n).astype(np.int64)
-    first = BoostedClassifier(n_trees=15, min_samples_per_leaf=3).fit(X, y, 3)
-    second = BoostedClassifier(n_trees=15, min_samples_per_leaf=3).fit(X, y, 3)
+    first = estimator("gbt", n_trees=15, min_samples_per_leaf=3).fit(X, y, 3)
+    second = estimator("gbt", n_trees=15, min_samples_per_leaf=3).fit(X, y, 3)
     assert first.to_dict() == second.to_dict()
 
 
@@ -499,7 +505,7 @@ def test_tree_code_looks_kernels_up_at_call_time(monkeypatch):
     X = sparse.csr_matrix(np.where(rng.random((40, 10)) < 0.3,
                                    rng.random((40, 10)), 0.0))
     y = np.arange(40) % 2
-    BoostedClassifier(n_trees=2, min_samples_per_leaf=2).fit(X, y, 2)
-    trees.ForestClassifier(n_estimators=2).fit(X, y, 2)
+    estimator("gbt", n_trees=2, min_samples_per_leaf=2).fit(X, y, 2)
+    estimator("rf", n_estimators=2).fit(X, y, 2)
     assert all(calls.values()), calls
 

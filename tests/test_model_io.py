@@ -86,6 +86,10 @@ def _bad_hyperparameters(p):
     p["hyperparameters"] = ["alpha"]
 
 
+def _stray_hyperparameter(p):
+    p["hyperparameters"]["n_tree"] = 10
+
+
 def _ragged_theta(p):
     p["parameters"]["log_theta"] = [[0.0], [0.0, 1.0]]
 
@@ -288,6 +292,7 @@ _DAMAGE = [
     ("gbt", _right_child_before_its_parent),
     ("gbt", _empty_tree), ("gbt", _f0_for_too_few_classes),
     ("gbt", _tree_lists_for_too_few_classes),
+    ("gbt", _stray_hyperparameter),
     ("rf", _leaf_class_99), ("rf", _negative_leaf_class),
     ("rf", _left_child_before_its_parent), ("rf", _no_trees),
     ("rf", _self_loop), ("rf", _feature_out_of_range),
