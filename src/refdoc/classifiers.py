@@ -9,6 +9,7 @@ resolve to the first class in that order.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -41,6 +42,27 @@ ESTIMATORS = {"nb": NaiveBayes, "logreg": LogisticOvA,
 ALGORITHMS = tuple(DEFAULT_HYPERPARAMETERS)
 
 
+def _value_problem(name, value, default):
+    """Why value cannot be the hyperparameter name, or None if it can.
+
+    The default's type sets the rule: integers are counts of at least one
+    (a tree needs two leaves to split), and floats are finite and
+    positive (an L2 weight may be zero).
+    """
+    if isinstance(default, int):
+        least = 2 if name == "max_leaves" else 1
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or value < least):
+            return f"an integer >= {least}"
+        return None
+    positive = name != "l2_weight"
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0
+            or (positive and value == 0)):
+        return "a finite number " + ("> 0" if positive else ">= 0")
+    return None
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     algorithm: str = "gbt"
@@ -58,6 +80,11 @@ class ModelConfig:
         if unknown:
             raise ValueError(f"unknown {self.algorithm} hyperparameters: "
                              + ", ".join(map(repr, unknown)))
+        for name, value in self.hyperparameters.items():
+            problem = _value_problem(name, value, defaults[name])
+            if problem:
+                raise ValueError(f"{self.algorithm} hyperparameter {name} "
+                                 f"must be {problem}, not {value!r}")
         merged = dict(defaults)
         merged.update(self.hyperparameters)
         object.__setattr__(self, "hyperparameters", merged)

@@ -3,14 +3,16 @@
 The model is loaded once at startup and never mutated, so concurrent
 requests are safe; identical requests produce byte-identical responses.
 Bodies over 64 KiB are rejected with 413; malformed ones, and negative or
-non-numeric Content-Length headers, with 400. A client that stalls for
-REQUEST_TIMEOUT_S seconds while sending its body gets 408, and a client
-that stalls in its headers is disconnected, so neither holds a thread.
+non-numeric Content-Length headers, with 400. A client that has not sent
+its whole body REQUEST_TIMEOUT_S seconds after the body began gets 408,
+however it paces the bytes, and a client that stalls in its headers is
+disconnected, so neither holds a thread.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import pipeline
@@ -36,7 +38,7 @@ def predict_payload(model, message: str) -> dict:
 
 class PredictHandler(BaseHTTPRequestHandler):
     server_version = "refdoc"
-    timeout = REQUEST_TIMEOUT_S  # per socket operation
+    timeout = REQUEST_TIMEOUT_S  # per header read; the whole body's deadline
 
     def log_message(self, format, *args):
         pass  # keep request logs out of stderr
@@ -51,6 +53,28 @@ class PredictHandler(BaseHTTPRequestHandler):
     def _error(self, status, message):
         body = json.dumps({"error": message}, sort_keys=True).encode()
         self._send(status, body)
+
+    def _read_body(self, length):
+        """The body's bytes (fewer if the client closed early), or None
+        when the deadline of self.timeout from now passes first."""
+        deadline = time.monotonic() + self.timeout
+        chunks = []
+        try:
+            while length > 0:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return None
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(length)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                length -= len(chunk)
+        except TimeoutError:
+            return None
+        finally:
+            self.connection.settimeout(self.timeout)
+        return b"".join(chunks)
 
     def do_GET(self):
         if self.path == "/health":
@@ -72,9 +96,8 @@ class PredictHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self._error(413, "message too large")
             return
-        try:
-            raw = self.rfile.read(length)
-        except TimeoutError:
+        raw = self._read_body(length)
+        if raw is None:
             self._error(408, "timed out reading the body")
             return
         try:

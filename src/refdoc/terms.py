@@ -69,15 +69,36 @@ def _parse_pattern(text: str):
     return tokens
 
 
+class _TrieNode:
+    """A node of the pattern trie; its edges are keyed by matcher token."""
+
+    __slots__ = ("edges", "ends")
+
+    def __init__(self):
+        self.edges = {}  # ("word", w), ("prefix", p) or _ANY -> _TrieNode
+        self.ends = []   # (catalog position, class, text) ending here
+
+
 class PatternCatalog:
     """Per-class wildcard patterns, user-extensible via the data file."""
 
     def __init__(self, patterns: Dict[RefactoringType, List[str]]):
         self.patterns = patterns
-        self._compiled = {
-            cls: [(p, _parse_pattern(p)) for p in plist]
-            for cls, plist in patterns.items()
-        }
+        self._trie = _TrieNode()
+        prefix_lengths = set()  # so a word's prefix keys are only these
+        order = 0  # catalog position, so hits can be listed in order
+        for cls, plist in patterns.items():
+            for text in plist:
+                tokens = _parse_pattern(text)
+                prefix_lengths.update(len(tok[1]) for tok in tokens
+                                      if tok is not _ANY and tok[0] == "prefix")
+                if tokens:
+                    node = self._trie
+                    for tok in tokens:
+                        node = node.edges.setdefault(tok, _TrieNode())
+                    node.ends.append((order, cls, text))
+                order += 1
+        self._prefix_lengths = sorted(prefix_lengths)
 
     @classmethod
     def from_text(cls, text: str) -> "PatternCatalog":
@@ -104,33 +125,33 @@ def load_catalog() -> PatternCatalog:
     return PatternCatalog.from_text(text)
 
 
-def _match_at(words, start, tokens) -> bool:
-    if start + len(tokens) > len(words):
-        return False
-    for offset, tok in enumerate(tokens):
-        word = words[start + offset]
-        if tok is _ANY:
-            continue
-        kind, value = tok
-        if kind == "word":
-            if word != value:
-                return False
-        elif not word.startswith(value):
-            return False
-    return True
+def _edge_keys(word, prefix_lengths):
+    """Every trie edge key that can match word: its word key, _ANY, and
+    its prefixes of the lengths the catalog's prefixes have."""
+    return [("word", word), _ANY] + [("prefix", word[:k])
+                                     for k in prefix_lengths
+                                     if k <= len(word)]
 
 
 def match_patterns(message: str, catalog: PatternCatalog = None) -> Dict:
-    """All catalog patterns matching the message, grouped by class."""
+    """All catalog patterns matching the message, grouped by class.
+
+    A pattern matches when its tokens match consecutive words. The trie
+    is walked from every word position: each word steps the walks begun
+    before it and starts one at the root. Hits are listed in catalog
+    order.
+    """
     if catalog is None:
         catalog = load_catalog()
-    words = _WORD_RE.findall(message.lower())
+    found = set()
+    walks = []  # trie nodes reached by the walks still alive
+    for word in _WORD_RE.findall(message.lower()):
+        keys = _edge_keys(word, catalog._prefix_lengths)
+        walks = [node.edges[key] for node in walks + [catalog._trie]
+                 for key in keys if key in node.edges]
+        for node in walks:
+            found.update(node.ends)
     hits: Dict[RefactoringType, List[str]] = {}
-    for cls, compiled in catalog._compiled.items():
-        for text, tokens in compiled:
-            if not tokens:
-                continue
-            if any(_match_at(words, i, tokens)
-                   for i in range(len(words) - len(tokens) + 1)):
-                hits.setdefault(cls, []).append(text)
+    for _, cls, text in sorted(found):  # positions are distinct
+        hits.setdefault(cls, []).append(text)
     return hits

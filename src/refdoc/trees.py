@@ -7,11 +7,13 @@ lists, so one kernel call scores the new leaves of every class. Forest
 trees grow depth-first on bootstrap replicates, scoring a fixed number of
 random (feature, threshold) candidates per node. All randomness is
 pre-drawn from per-tree generator streams spawned from (seed, tree index),
-so training is deterministic.
+so training is deterministic. A boosted model scores a row through a
+FlatEnsemble of its trees, which walks all of them at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -200,6 +202,60 @@ def fit_regression_tree(csc, g, h, max_leaves, min_leaf):
     return trees, preds
 
 
+class FlatEnsemble:
+    """The trees of a boosted model in contiguous arrays, walked at once.
+
+    Trees are stored class-major in tree order, with absolute node ids.
+    Node i's left child, taken when row[feature[i]] <= threshold[i] as in
+    Tree.predict_row, is child[2i + 1], and its right child child[2i]. A
+    leaf's children are the leaf itself, so a walk that has reached its
+    leaf stays there, and depth steps take every tree to its leaf.
+    """
+
+    def __init__(self, class_trees):
+        trees = [tree for per_class in class_trees for tree in per_class]
+        sizes = np.array([len(tree.feature) for tree in trees], dtype=np.int64)
+        self.class_ends = np.cumsum([len(per_class)
+                                     for per_class in class_trees])
+        self.roots = np.cumsum(sizes) - sizes
+        self.feature = _concat(trees, "feature", np.int64)
+        self.threshold = _concat(trees, "threshold", np.float64)
+        self.value = _concat(trees, "value", np.float64)
+        own = np.arange(self.feature.size, dtype=np.int64)
+        offset = np.repeat(self.roots, sizes)
+        leaf = self.feature < 0
+        self.child = np.empty(2 * own.size, dtype=np.int64)
+        self.child[0::2] = np.where(leaf, own,
+                                    _concat(trees, "right", np.int64) + offset)
+        self.child[1::2] = np.where(leaf, own,
+                                    _concat(trees, "left", np.int64) + offset)
+        self.depth = 0  # split levels of the deepest tree
+        splits = self.roots[~leaf[self.roots]]
+        while splits.size:
+            self.depth += 1
+            below = np.concatenate((self.child[2 * splits],
+                                    self.child[2 * splits + 1]))
+            splits = np.unique(below[~leaf[below]])  # children may be shared
+
+    def leaf_values(self, row):
+        """The leaf value each tree gives one dense row, in tree order.
+
+        Every tree takes one step per level. At a leaf, feature -1 reads
+        the row's last value, and the step stays at the leaf either way.
+        """
+        node = self.roots
+        for _ in range(self.depth):
+            goes_left = row[self.feature[node]] <= self.threshold[node]
+            node = self.child[2 * node + goes_left]
+        return self.value[node]
+
+
+def _concat(trees, name, dtype):
+    """One array of the named Tree list of every tree, in order."""
+    return np.fromiter(itertools.chain.from_iterable(
+        getattr(tree, name) for tree in trees), dtype=dtype)
+
+
 class BoostedClassifier:
     """One-vs-all gradient boosting with logistic loss."""
 
@@ -211,6 +267,7 @@ class BoostedClassifier:
         self.learning_rate = float(learning_rate)
         self.f0 = None          # per class
         self.trees = None       # per class list of Tree
+        self.flat = None        # FlatEnsemble of self.trees, for scoring
 
     def fit(self, X_csr, y_idx, n_classes):
         csc = build_sorted_csc(X_csr)
@@ -242,17 +299,20 @@ class BoostedClassifier:
                     raise NonFinite(
                         "boosting loss diverged; lower the learning rate")
                 self.trees[c].append(trees[c])
+        self.flat = FlatEnsemble(self.trees)
         return self
 
     def score_row(self, row):
         """Per-class sigmoid of the boosted margins for one dense row (the
-        one-vs-all combination rule)."""
-        margins = []
-        for f0, class_trees in zip(self.f0, self.trees):
-            z = f0
-            for tree in class_trees:
-                z += self.learning_rate * tree.predict_row(row)
-            margins.append(z)
+        one-vs-all combination rule).
+
+        cumsum adds in sequence, so each margin equals f0 + lr*v_1 + ...
+        + lr*v_T summed tree by tree, bit for bit.
+        """
+        steps = self.learning_rate * self.flat.leaf_values(row)
+        margins = [np.cumsum(np.concatenate(([f0], class_steps)))[-1]
+                   for f0, class_steps in zip(
+                       self.f0, np.split(steps, self.flat.class_ends[:-1]))]
         return sigmoid(margins)
 
     def training_loss_curve(self, X_csr, y_idx, cls):
@@ -285,6 +345,7 @@ class BoostedClassifier:
                              "tree list per class")
         if not all(math.isfinite(v) for v in self.f0):
             raise ValueError("boosted model f0 must be finite")
+        self.flat = FlatEnsemble(self.trees)
         return self
 
 

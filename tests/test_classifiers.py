@@ -78,6 +78,27 @@ def test_unknown_hyperparameter_is_rejected_by_name():
         ModelConfig(algorithm="gbt", hyperparameters={"alpha": 1.0})
 
 
+@pytest.mark.parametrize("algo,name,value", [
+    ("gbt", "n_trees", -3), ("gbt", "n_trees", 0), ("gbt", "n_trees", True),
+    ("gbt", "n_trees", 2.0), ("gbt", "max_leaves", 1),
+    ("gbt", "learning_rate", float("nan")), ("gbt", "learning_rate", 0.0),
+    ("gbt", "learning_rate", "0.2"), ("nb", "alpha", float("inf")),
+    ("nb", "alpha", -1.0), ("logreg", "l2_weight", -0.5),
+    ("logreg", "max_iterations", None), ("rf", "max_depth", 0),
+])
+def test_illegal_hyperparameter_value_is_rejected(algo, name, value):
+    with pytest.raises(ValueError, match=name):
+        ModelConfig(algorithm=algo, hyperparameters={name: value})
+
+
+def test_boundary_hyperparameter_values_are_legal():
+    ModelConfig(algorithm="gbt", hyperparameters={
+        "max_leaves": 2, "n_trees": 1, "min_samples_per_leaf": 1,
+        "learning_rate": 1e12})
+    ModelConfig(algorithm="logreg", hyperparameters={"l2_weight": 0.0})
+    ModelConfig(algorithm="nb", hyperparameters={"alpha": 1})
+
+
 @pytest.mark.parametrize("algo", list(DEFAULT_HYPERPARAMETERS))
 def test_estimator_keywords_are_the_table_keys_without_defaults(algo):
     params = inspect.signature(ESTIMATORS[algo]).parameters

@@ -226,6 +226,17 @@ def test_predict_with_stray_hyperparameter_exits_2(model_path, tmp_path,
     assert "alpha_" in err and "Traceback" not in err
 
 
+def test_predict_with_nan_learning_rate_exits_2(gbt_model, tmp_path, capsys):
+    path = tmp_path / "gbt.json"
+    save_model(gbt_model, path)
+    payload = json.loads(path.read_text())
+    payload["hyperparameters"]["learning_rate"] = float("nan")
+    path.write_text(json.dumps(payload))  # written as the JSON token NaN
+    assert main(["predict", "renamed the method", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "learning_rate" in err and "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize stays resident once imported, which the benchmark's
     # peak-memory bound on `refdoc train` does not allow for

@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -106,6 +107,37 @@ def test_stalled_body_gets_408_and_the_connection_is_released(nb_model,
         srv.shutdown()
         srv.server_close()
     assert reply.startswith(b"HTTP/1.0 408 "), reply[:80]
+
+
+def test_slow_drip_body_gets_408_at_the_request_deadline(nb_model,
+                                                         monkeypatch):
+    # every byte arrives well inside the 0.5 s timeout, but the whole
+    # 33-byte body would take 6.6 s
+    monkeypatch.setattr(PredictHandler, "timeout", 0.5)
+    srv = make_server(nb_model, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    body = b'{"message": "renamed the method"}'
+    assert len(body) == 33
+    reply = b""
+    start = time.monotonic()
+    try:
+        with socket.create_connection(
+                ("127.0.0.1", srv.server_address[1]), timeout=0.2) as sock:
+            sock.sendall(b"POST /predict HTTP/1.0\r\nContent-Length: 33"
+                         b"\r\n\r\n")
+            for i in range(len(body)):
+                sock.sendall(body[i:i + 1])
+                try:
+                    reply = sock.recv(4096)  # waits 0.2 s between bytes
+                except TimeoutError:
+                    continue
+                break
+    finally:
+        srv.shutdown()
+        srv.server_close()
+    assert reply.startswith(b"HTTP/1.0 408 "), reply[:80]
+    assert time.monotonic() - start < 2.0
 
 
 def test_identical_requests_get_byte_identical_bodies(server):

@@ -1,15 +1,62 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refdoc import textprep
 from refdoc.corpus import CommitRecord, Dataset, METHOD_TYPES
 from refdoc.corpus import RefactoringType as RT
 from refdoc.errors import InsufficientClass
 from refdoc.terms import (
+    _ANY,
+    _WORD_RE,
     PatternCatalog,
+    _parse_pattern,
     frequent_ngrams,
     load_catalog,
     match_patterns,
 )
+
+
+def _reference_match_at(words, start, tokens) -> bool:
+    if start + len(tokens) > len(words):
+        return False
+    for offset, tok in enumerate(tokens):
+        word = words[start + offset]
+        if tok is _ANY:
+            continue
+        kind, value = tok
+        if kind == "word":
+            if word != value:
+                return False
+        elif not word.startswith(value):
+            return False
+    return True
+
+
+def reference_match_patterns(message, catalog):
+    """match_patterns as it was before the trie: every pattern is tried at
+    every word position, verbatim but for compiling the catalog here."""
+    compiled_catalog = {cls: [(p, _parse_pattern(p)) for p in plist]
+                        for cls, plist in catalog.patterns.items()}
+    words = _WORD_RE.findall(message.lower())
+    hits = {}
+    for cls, compiled in compiled_catalog.items():
+        for text, tokens in compiled:
+            if not tokens:
+                continue
+            if any(_reference_match_at(words, i, tokens)
+                   for i in range(len(words) - len(tokens) + 1)):
+                hits.setdefault(cls, []).append(text)
+    return hits
+
+
+def assert_same_hits(message, catalog):
+    got = match_patterns(message, catalog)
+    want = reference_match_patterns(message, catalog)
+    # equal as ordered structures: class order, then hit order
+    assert list(got.items()) == list(want.items()), message
 
 
 def test_catalog_covers_all_six_classes():
@@ -123,3 +170,84 @@ def test_catalog_is_user_extensible():
         "[RenameMethod]\nrebrand* the [] method\n")
     hits = match_patterns("rebranded the parser method", catalog)
     assert hits == {RT.RENAME_METHOD: ["rebrand* the [] method"]}
+
+
+def _catalog_words(catalog):
+    """Every literal word and prefix in the catalog's patterns."""
+    words, prefixes = set(), set()
+    for plist in catalog.patterns.values():
+        for text in plist:
+            for tok in _parse_pattern(text):
+                if tok is not _ANY:
+                    (words if tok[0] == "word" else prefixes).add(tok[1])
+    return sorted(words), sorted(prefixes)
+
+
+_WORDS, _PREFIXES = _catalog_words(load_catalog())
+_catalog_word = st.one_of(
+    st.sampled_from(_WORDS),
+    st.builds(lambda p, end: p + end, st.sampled_from(_PREFIXES),
+              st.sampled_from(["", "e", "ed", "ing", "s", "x1"])),
+    st.text(alphabet="abcdemnorstu019", min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_catalog_word, max_size=30),
+       st.sampled_from([" ", ", ", " - ", "\n"]))
+def test_trie_matches_the_full_scan_on_catalog_text(words, sep):
+    assert_same_hits(sep.join(words), load_catalog())
+
+
+def test_trie_matches_the_full_scan_on_every_corpus_message(
+        synthetic_dataset):
+    catalog = load_catalog()
+    for rec in synthetic_dataset:
+        assert_same_hits(rec.message, catalog)
+
+
+EDGE_CATALOG = PatternCatalog.from_text("""
+[RenameMethod]
+[] method name
+*
+renam* [] []
+---
+renam* the method
+[ExtractMethod]
+renam* the method
+extract* [] method
+[] [] to
+[MoveMethod]
+mov* * to
+""")
+
+
+@pytest.mark.parametrize("message", [
+    "", "x", "method name", "renamed the method", "rename the method",
+    "extracting a method", "moved it to", "moved the method to a class",
+    "a b", "!!! ---", "method", "renam x y z the method",
+    "renam" + "e" * 60 + " the method",
+])
+def test_trie_matches_the_full_scan_on_edge_patterns(message):
+    assert_same_hits(message, EDGE_CATALOG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["renamed", "the", "method", "name",
+                                 "extract", "moved", "to", "x", "---"]),
+                max_size=12))
+def test_trie_matches_the_full_scan_on_edge_catalog_text(words):
+    assert_same_hits(" ".join(words), EDGE_CATALOG)
+
+
+@pytest.mark.parametrize("body", [
+    " ".join(f"q{i % 97}z" for i in range(20000))[:60 * 1024],
+    " ".join(["move"] * 15000)[:60 * 1024],
+    (" moved the parser method to the helper class and renamed it" * 1200)
+    [:60 * 1024],
+    "renam" + "e" * (60 * 1024 - 5),
+], ids=["short-words", "move-repeated", "commit-text", "one-word"])
+def test_sixty_kib_message_is_matched_quickly(body):
+    load_catalog()
+    start = time.perf_counter()
+    match_patterns(body)
+    assert time.perf_counter() - start < 0.5
