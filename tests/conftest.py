@@ -1,7 +1,7 @@
 import pytest
 
 from refdoc import pipeline
-from refdoc.classifiers import ModelConfig
+from refdoc.classifiers import ALGORITHMS, ModelConfig
 from refdoc.synthetic import generate_corpus
 
 
@@ -35,3 +35,13 @@ def gbt_model(synthetic_dataset):
 def none_model(none_dataset):
     return pipeline.fit(none_dataset,
                         ModelConfig(algorithm="nb", include_none=True))
+
+
+@pytest.fixture(scope="session")
+def bundled_models(request, synthetic_dataset):
+    """Every algorithm at its defaults on the bundled corpus; the session
+    nb and gbt models are reused."""
+    return {algo: request.getfixturevalue(f"{algo}_model")
+            if algo in ("nb", "gbt")
+            else pipeline.fit(synthetic_dataset, ModelConfig(algorithm=algo))
+            for algo in ALGORITHMS}

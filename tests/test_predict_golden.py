@@ -38,16 +38,6 @@ def body_digests(model, messages):
             for m in messages]
 
 
-@pytest.fixture(scope="module")
-def bundled_models(request, synthetic_dataset):
-    """Every algorithm at its defaults; the session nb and gbt models are
-    reused."""
-    return {algo: request.getfixturevalue(f"{algo}_model")
-            if algo in ("nb", "gbt")
-            else pipeline.fit(synthetic_dataset, ModelConfig(algorithm=algo))
-            for algo in ALGORITHMS}
-
-
 def test_golden_messages_have_the_pinned_shape(synthetic_dataset):
     messages = golden_messages(synthetic_dataset)
     assert len(messages) == 62
