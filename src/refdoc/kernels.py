@@ -10,7 +10,9 @@ that sorted order. One `gbt_best_split` call scores a batch of leaves
 from any mix of classes; `gbt_partition` divides one leaf's list when it
 splits. Forest trees keep the sample-to-node assignment in `node_of`;
 rows with node_of == -1 (out-of-bag rows under bootstrap weights) belong
-to no node.
+to no node. `rf_best_candidate` scores all random candidates of a node in
+one pass: it gathers their column entries together, masks them to the
+node and counts classes per (candidate, class) bin with bincount.
 """
 
 from __future__ import annotations
@@ -157,9 +159,10 @@ def gbt_partition(indptr, rows, vals, node_of, entries, feature, threshold,
             float(g[moved].sum()), float(h[moved].sum()))
 
 
-def _gini_from_counts(counts, total):
-    p = counts / total
-    return 1.0 - np.sum(p * p)
+def _gini(counts, total):
+    """Gini impurity of each row of class counts, with the row totals."""
+    p = counts / np.asarray(total)[..., None]
+    return 1.0 - np.sum(p * p, axis=-1)
 
 
 def rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
@@ -169,44 +172,62 @@ def rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
 
     Thresholds interpolate between the in-node min and max of the candidate
     feature; Gini impurity decrease decides, first best wins on ties.
+    Returns (gain, feature, threshold), or (0.0, -1, 0.0) when no candidate
+    has a legal split with positive gain.
+
+    All candidates are scored in one pass. Their column entries are
+    gathered together and masked to the node; since values are sorted
+    within a column, a candidate's in-node min and max are its first and
+    last masked entries. Class counts come from one bincount over
+    (candidate, class) bins for the whole column and one for the entries
+    at or below the threshold. The weights are integer-valued, so the
+    counts and their sums are exact.
     """
-    parent = _gini_from_counts(node_counts.astype(np.float64), float(count))
-    best_gain, best_feat, best_thr = 0.0, -1, 0.0
-    for c in range(cand_feats.size):
-        j = int(cand_feats[c])
-        s, e = indptr[j], indptr[j + 1]
-        rws = rows[s:e]
-        m = node_of[rws] == node
-        if not m.any():
-            continue
-        rsel = rws[m]
-        vsel = vals[s:e][m]
-        wsel = weights[rsel]
-        nz_n = int(wsel.sum())
-        zero_n = count - nz_n
-        vmin = 0.0 if zero_n > 0 else float(vsel[0])
-        vmax = float(vsel[-1])
-        if vmax <= vmin:
-            continue
-        thr = vmin + float(cand_fracs[c]) * (vmax - vmin)
-        if thr >= vmax:
-            thr = vmin
-        nz_counts = np.bincount(y[rsel], weights=wsel.astype(np.float64),
-                                minlength=n_classes)
-        lm = vsel <= thr
-        left_nz = np.bincount(y[rsel[lm]], weights=wsel[lm].astype(np.float64),
-                              minlength=n_classes)
-        left = (node_counts.astype(np.float64) - nz_counts) + left_nz
-        ln = float(left.sum())
-        rn = count - ln
-        if ln < min_leaf or rn < min_leaf:
-            continue
-        right = node_counts.astype(np.float64) - left
-        gain = parent - (ln * _gini_from_counts(left, ln)
-                         + rn * _gini_from_counts(right, rn)) / count
-        if gain > best_gain:
-            best_gain, best_feat, best_thr = float(gain), j, float(thr)
-    return best_gain, best_feat, best_thr
+    fail = 0.0, -1, 0.0
+    n_cand = cand_feats.size
+    start = indptr[cand_feats]
+    length = indptr[cand_feats + 1] - start
+    seg = np.repeat(np.arange(n_cand), length)
+    ent = np.arange(seg.size) + np.repeat(start - (np.cumsum(length) - length),
+                                          length)
+    r = rows[ent]
+    inside = node_of[r] == node
+    seg, ent, r = seg[inside], ent[inside], r[inside]
+    if not seg.size:
+        return fail
+    v = vals[ent]
+    w = weights[r].astype(np.float64)
+    bins = seg * n_classes + y[r]
+    n_bins = n_cand * n_classes
+    nz = np.bincount(bins, weights=w, minlength=n_bins).reshape(n_cand, -1)
+
+    lo = np.searchsorted(seg, np.arange(n_cand))
+    hi = np.searchsorted(seg, np.arange(n_cand), side="right")
+    zero_n = count - nz.sum(axis=1)
+    vmin = np.where(zero_n > 0, 0.0, v[np.minimum(lo, v.size - 1)])
+    vmax = v[hi - 1]
+    thr = vmin + cand_fracs * (vmax - vmin)
+    thr = np.where(thr >= vmax, vmin, thr)
+
+    lm = v <= thr[seg]
+    left_nz = np.bincount(bins[lm], weights=w[lm],
+                          minlength=n_bins).reshape(n_cand, -1)
+    node_counts = node_counts.astype(np.float64)
+    left = (node_counts - nz) + left_nz
+    ln = left.sum(axis=1)
+    rn = count - ln
+    legal = (hi > lo) & (vmax > vmin) & (ln >= min_leaf) & (rn >= min_leaf)
+
+    gain = np.full(n_cand, -np.inf)
+    ln, rn, left = ln[legal], rn[legal], left[legal]
+    parent = _gini(node_counts, float(count))
+    gain[legal] = parent - (ln * _gini(left, ln)
+                            + rn * _gini(node_counts - left, rn)) / count
+    gain[~(gain > 0.0)] = -np.inf
+    best = int(np.argmax(gain))
+    if not gain[best] > 0.0:
+        return fail
+    return float(gain[best]), int(cand_feats[best]), float(thr[best])
 
 
 def rf_partition(indptr, rows, vals, node_of, node, feature, threshold,

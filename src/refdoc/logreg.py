@@ -5,6 +5,10 @@ Each binary model minimizes sum_i log(1 + exp(z_i)) - y_i z_i plus
 gradient descent with Armijo backtracking, stopping when the gradient
 infinity-norm falls below the optimization tolerance. The gradient lives in
 its own function so it can be checked against finite differences.
+
+The fit computes the margins X @ w + b once per line-search trial: the
+loss and the next gradient both take the accepted trial's margins, and
+X.T is built as a CSR matrix once per binary problem.
 """
 
 from __future__ import annotations
@@ -21,35 +25,52 @@ def _sigmoid(z):
     return out
 
 
-def logreg_loss(weights, bias, X, y, l2_weight):
-    """Regularized negative log-likelihood (sum over the batch)."""
-    z = X @ weights + bias
+def _margins(weights, bias, X):
+    return X @ weights + bias
+
+
+def logreg_loss(weights, bias, X, y, l2_weight, margins=None):
+    """Regularized negative log-likelihood (sum over the batch).
+
+    margins, when given, must be X @ weights + bias as _margins computes it.
+    """
+    z = _margins(weights, bias, X) if margins is None else margins
     nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
     return nll + 0.5 * float(l2_weight) * float(weights @ weights)
 
 
-def logreg_gradient(weights, bias, X, y, l2_weight):
+def logreg_gradient(weights, bias, X, y, l2_weight, margins=None, XT=None):
     """Analytic gradient of logreg_loss: (d/dw, d/db).
 
     The L2 term contributes exactly l2_weight * weights to the weight
-    gradient and nothing to the bias gradient.
+    gradient and nothing to the bias gradient. margins is as for
+    logreg_loss. XT, when given, is X.T converted to CSR: its product with
+    r sums each feature's terms in row order, as X.T @ r does, so the
+    bits agree.
     """
-    z = X @ weights + bias
+    z = _margins(weights, bias, X) if margins is None else margins
     r = _sigmoid(z) - y
-    grad_w = X.T @ r + l2_weight * weights
+    grad_w = (X.T if XT is None else XT) @ r + l2_weight * weights
     grad_b = float(np.sum(r))
     return np.asarray(grad_w).ravel(), grad_b
 
 
 def fit_binary(X, y, *, l2_weight, tol, max_iter):
-    """Gradient descent with backtracking line search on one binary problem."""
+    """Gradient descent with backtracking line search on one binary problem.
+
+    Each line-search trial computes its margins once; the accepted trial's
+    margins serve the next gradient, and X.T is built as CSR once.
+    """
     n_features = X.shape[1]
+    XT = X.T.tocsr()
     w = np.zeros(n_features, dtype=np.float64)
     b = 0.0
     step = 1.0
-    loss = logreg_loss(w, b, X, y, l2_weight)
+    z = _margins(w, b, X)
+    loss = logreg_loss(w, b, X, y, l2_weight, margins=z)
     for _ in range(max_iter):
-        grad_w, grad_b = logreg_gradient(w, b, X, y, l2_weight)
+        grad_w, grad_b = logreg_gradient(w, b, X, y, l2_weight,
+                                         margins=z, XT=XT)
         gnorm = max(float(np.max(np.abs(grad_w))) if grad_w.size else 0.0,
                     abs(grad_b))
         if gnorm <= tol:
@@ -60,14 +81,16 @@ def fit_binary(X, y, *, l2_weight, tol, max_iter):
         for _ in range(60):
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            loss_new = logreg_loss(w_new, b_new, X, y, l2_weight)
+            z_new = _margins(w_new, b_new, X)
+            loss_new = logreg_loss(w_new, b_new, X, y, l2_weight,
+                                   margins=z_new)
             if loss_new <= loss - 1e-4 * step * sq:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break  # step underflow: numerically converged
-        w, b, loss = w_new, b_new, loss_new
+        w, b, loss, z = w_new, b_new, loss_new, z_new
     return w, b
 
 

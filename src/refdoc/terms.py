@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from . import textprep
 from .corpus import Dataset, RefactoringType, parse_label
-from .errors import InsufficientClass
+from .errors import InsufficientClass, UnknownLabel
 from .features import Ngram
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -102,6 +102,11 @@ class PatternCatalog:
 
     @classmethod
     def from_text(cls, text: str) -> "PatternCatalog":
+        """Parse `[Label]` header lines, each followed by its patterns.
+
+        A bracketed line is a header only when its inner text is a label,
+        so patterns such as `[] []` can be written.
+        """
         patterns: Dict[RefactoringType, List[str]] = {}
         current = None
         for line in text.splitlines():
@@ -109,9 +114,13 @@ class PatternCatalog:
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
-                current = parse_label(line[1:-1])
-                patterns.setdefault(current, [])
-                continue
+                try:
+                    current = parse_label(line[1:-1])
+                except UnknownLabel:
+                    pass
+                else:
+                    patterns.setdefault(current, [])
+                    continue
             if current is None:
                 raise ValueError("pattern before any class header")
             patterns[current].append(line)

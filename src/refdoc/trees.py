@@ -315,19 +315,6 @@ class BoostedClassifier:
                        self.f0, np.split(steps, self.flat.class_ends[:-1]))]
         return sigmoid(margins)
 
-    def training_loss_curve(self, X_csr, y_idx, cls):
-        """Logistic training loss after each boosting round for one class."""
-        y = (y_idx == cls).astype(np.float64)
-        rows = np.asarray(X_csr.todense())
-        margins = np.full(X_csr.shape[0], self.f0[cls], dtype=np.float64)
-        losses = []
-        for tree in self.trees[cls]:
-            preds = np.array([tree.predict_row(r) for r in rows])
-            margins = margins + self.learning_rate * preds
-            loss = float(np.sum(np.logaddexp(0.0, margins) - y * margins))
-            losses.append(loss)
-        return losses
-
     def to_dict(self):
         return {
             "f0": [float(v) for v in self.f0],

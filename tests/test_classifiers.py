@@ -8,7 +8,7 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from refdoc import pipeline
+from refdoc import logreg, pipeline
 from refdoc.classifiers import (
     DEFAULT_HYPERPARAMETERS,
     ESTIMATORS,
@@ -249,6 +249,92 @@ def test_logreg_regularizer_contributes_exactly_the_weight_vector():
     assert b1 == b2
 
 
+def reference_loss(weights, bias, X, y, l2_weight):
+    """Regularized negative log-likelihood (sum over the batch)."""
+    z = X @ weights + bias
+    nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    return nll + 0.5 * float(l2_weight) * float(weights @ weights)
+
+
+def reference_gradient(weights, bias, X, y, l2_weight):
+    """Analytic gradient of reference_loss: (d/dw, d/db).
+
+    The L2 term contributes exactly l2_weight * weights to the weight
+    gradient and nothing to the bias gradient.
+    """
+    z = X @ weights + bias
+    r = logreg._sigmoid(z) - y
+    grad_w = X.T @ r + l2_weight * weights
+    grad_b = float(np.sum(r))
+    return np.asarray(grad_w).ravel(), grad_b
+
+
+def reference_fit_binary(X, y, *, l2_weight, tol, max_iter):
+    """Gradient descent with backtracking line search on one binary problem.
+
+    The loss, gradient and fit as they were before margins were reused
+    across the line search and X.T built once, verbatim."""
+    n_features = X.shape[1]
+    w = np.zeros(n_features, dtype=np.float64)
+    b = 0.0
+    step = 1.0
+    loss = reference_loss(w, b, X, y, l2_weight)
+    for _ in range(max_iter):
+        grad_w, grad_b = reference_gradient(w, b, X, y, l2_weight)
+        gnorm = max(float(np.max(np.abs(grad_w))) if grad_w.size else 0.0,
+                    abs(grad_b))
+        if gnorm <= tol:
+            break
+        sq = float(grad_w @ grad_w) + grad_b * grad_b
+        step = min(step * 2.0, 1e6)
+        accepted = False
+        for _ in range(60):
+            w_new = w - step * grad_w
+            b_new = b - step * grad_b
+            loss_new = reference_loss(w_new, b_new, X, y, l2_weight)
+            if loss_new <= loss - 1e-4 * step * sq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break  # step underflow: numerically converged
+        w, b, loss = w_new, b_new, loss_new
+    return w, b
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_binary_matches_the_reference_fit_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n, d = 40 + 10 * seed, 12
+    dense = np.where(rng.random((n, d)) < 0.3, rng.random((n, d)), 0.0)
+    dense[:, 5] = 0.0                             # an all-zero column
+    X = sparse.csr_matrix(dense)
+    ys = [(rng.random(n) > 0.6).astype(np.float64),
+          np.zeros(n), np.ones(n)]                # and one-class problems
+    for y in ys:
+        params = dict(l2_weight=[1.0, 0.1][seed % 2], tol=1e-7,
+                      max_iter=[400, 7][seed % 3 == 2])
+        w, b = fit_binary(X, y, **params)
+        w_ref, b_ref = reference_fit_binary(X, y, **params)
+        assert np.array_equal(w, w_ref)
+        assert b == b_ref
+
+
+def training_loss_curve(model, X_csr, y_idx, cls):
+    """Logistic training loss of a boosted model after each boosting round
+    for one class."""
+    y = (y_idx == cls).astype(np.float64)
+    rows = np.asarray(X_csr.todense())
+    margins = np.full(X_csr.shape[0], model.f0[cls], dtype=np.float64)
+    losses = []
+    for tree in model.trees[cls]:
+        preds = np.array([tree.predict_row(r) for r in rows])
+        margins = margins + model.learning_rate * preds
+        loss = float(np.sum(np.logaddexp(0.0, margins) - y * margins))
+        losses.append(loss)
+    return losses
+
+
 def test_gbt_training_loss_never_increases():
     rng = np.random.default_rng(3)
     n, d = 80, 30
@@ -257,7 +343,7 @@ def test_gbt_training_loss_never_increases():
     y = (rng.random(n) > 0.5).astype(np.int64)
     model = make_estimator(ModelConfig(
         algorithm="gbt", hyperparameters={"n_trees": 30})).fit(X, y, 2)
-    losses = model.training_loss_curve(X, y, cls=1)
+    losses = training_loss_curve(model, X, y, cls=1)
     for before, after in zip(losses, losses[1:]):
         assert after <= before + 1e-9
 

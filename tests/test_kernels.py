@@ -1,8 +1,9 @@
 """Tree kernels and the boosted-tree grower against independent references.
 
-Two kinds of reference live here. The per-leaf numpy split search and the
+Two kinds of reference live here. The per-leaf numpy split search, the
 one-class-at-a-time leaf-wise grower that the batched, lock-step code
-replaced are kept verbatim: models must match them bit for bit. Plain
+replaced, and the per-candidate forest loop that the batched candidate
+scan replaced are kept verbatim: models must match them bit for bit. Plain
 loops over dense rows that enumerate every threshold are the brute-force
 oracles for the boosted and forest split kernels and for build_sorted_csc.
 """
@@ -260,6 +261,62 @@ def oracle_rf_best(dense, node_rows, y, weights, n_classes, cand_feats,
 
 
 # ---------------------------------------------------------------------------
+# reference: the per-candidate forest loop that the batched scan replaced
+# ---------------------------------------------------------------------------
+
+def _gini_from_counts(counts, total):
+    p = counts / total
+    return 1.0 - np.sum(p * p)
+
+
+def reference_rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
+                                n_classes, cand_feats, cand_fracs,
+                                node_counts, count, min_leaf):
+    """Best of the random (feature, threshold) candidates for one node.
+
+    Thresholds interpolate between the in-node min and max of the candidate
+    feature; Gini impurity decrease decides, first best wins on ties.
+    """
+    parent = _gini_from_counts(node_counts.astype(np.float64), float(count))
+    best_gain, best_feat, best_thr = 0.0, -1, 0.0
+    for c in range(cand_feats.size):
+        j = int(cand_feats[c])
+        s, e = indptr[j], indptr[j + 1]
+        rws = rows[s:e]
+        m = node_of[rws] == node
+        if not m.any():
+            continue
+        rsel = rws[m]
+        vsel = vals[s:e][m]
+        wsel = weights[rsel]
+        nz_n = int(wsel.sum())
+        zero_n = count - nz_n
+        vmin = 0.0 if zero_n > 0 else float(vsel[0])
+        vmax = float(vsel[-1])
+        if vmax <= vmin:
+            continue
+        thr = vmin + float(cand_fracs[c]) * (vmax - vmin)
+        if thr >= vmax:
+            thr = vmin
+        nz_counts = np.bincount(y[rsel], weights=wsel.astype(np.float64),
+                                minlength=n_classes)
+        lm = vsel <= thr
+        left_nz = np.bincount(y[rsel[lm]], weights=wsel[lm].astype(np.float64),
+                              minlength=n_classes)
+        left = (node_counts.astype(np.float64) - nz_counts) + left_nz
+        ln = float(left.sum())
+        rn = count - ln
+        if ln < min_leaf or rn < min_leaf:
+            continue
+        right = node_counts.astype(np.float64) - left
+        gain = parent - (ln * _gini_from_counts(left, ln)
+                         + rn * _gini_from_counts(right, rn)) / count
+        if gain > best_gain:
+            best_gain, best_feat, best_thr = float(gain), j, float(thr)
+    return best_gain, best_feat, best_thr
+
+
+# ---------------------------------------------------------------------------
 # random problems
 # ---------------------------------------------------------------------------
 
@@ -443,6 +500,99 @@ def test_rf_candidates_agree_bitwise_across_backends(seed):
         counts, int(counts.sum()), 1)
     assert got == oracle_rf_best(dense, node_rows.tolist(), y, weights, 4,
                                  cand_feats, cand_fracs, 1)
+
+
+def random_forest_node(rng, n, d, n_classes, ties):
+    """A sorted CSC matrix and one node (id 0) of a forest under bootstrap
+    weights: out-of-bag rows have node_of -1, some rows sit in node 1."""
+    dense = random_matrix(rng, n, d, 0.25, ties)
+    dense[:, 2] = 0.0                             # a column with no entries
+    dense[:, 3] = np.where(rng.random(n) < 0.5, 0.7, 0.0)
+    y = rng.integers(0, n_classes, size=n).astype(np.int64)
+    weights = rng.integers(0, 3, size=n).astype(np.int64)
+    node_of = np.where(weights > 0, 0, -1).astype(np.int64)
+    node_of[(weights > 0) & (rng.random(n) < 0.3)] = 1
+    node_of[dense[:, 3] > 0] = 1                  # column 3: other nodes only
+    weights[node_of == 0] = np.maximum(weights[node_of == 0], 1)
+    counts = np.zeros(n_classes, dtype=np.int64)
+    np.add.at(counts, y[node_of == 0], weights[node_of == 0])
+    return (build_sorted_csc(sparse.csr_matrix(dense)), dense, y, weights,
+            node_of, counts)
+
+
+def both_rf_best(csc, node_of, y, weights, n_classes, cand_feats,
+                 cand_fracs, counts, min_leaf):
+    """(batched kernel, reference loop) on one node."""
+    args = (*csc[:3], node_of, 0, y, weights, n_classes,
+            np.asarray(cand_feats, dtype=np.int64),
+            np.asarray(cand_fracs, dtype=np.float64), counts,
+            int(counts.sum()), min_leaf)
+    return (get_kernels().rf_best_candidate(*args),
+            reference_rf_best_candidate(*args))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("min_leaf", [0, 1, 5])
+@pytest.mark.parametrize("seed", range(10))
+def test_rf_batched_candidates_match_the_reference_loop(seed, min_leaf):
+    """Random nodes, 128 candidates over 25 columns (so features repeat,
+    some columns are empty or have no in-node entries), exactly, and with
+    no 0/0 on a candidate that the reference skips."""
+    rng = np.random.default_rng(seed)
+    n_classes = 2 + seed % 6
+    csc, _, y, weights, node_of, counts = random_forest_node(
+        rng, 60, 25, n_classes, ties=seed % 2 == 0)
+    fracs = rng.random(128)
+    fracs[::9] = 1.0                              # thr falls back to vmin
+    got, want = both_rf_best(csc, node_of, y, weights, n_classes,
+                             rng.integers(0, 25, size=128), fracs, counts,
+                             min_leaf)
+    assert got == want
+    assert type(got[1]) is int
+
+
+def test_rf_node_without_a_legal_candidate():
+    rng = np.random.default_rng(0)
+    csc, _, y, weights, node_of, counts = random_forest_node(
+        rng, 40, 10, 3, ties=False)
+    # column 2 is empty, column 3 has no in-node entry, and no split leaves
+    # a whole node's weight on both sides
+    for feats, min_leaf in (([2, 2], 1), ([2, 3, 2], 1),
+                            ([0, 1, 4], int(counts.sum()))):
+        got, want = both_rf_best(csc, node_of, y, weights, 3, feats,
+                                 [0.5] * len(feats), counts, min_leaf)
+        assert got == want == (0.0, -1, 0.0)
+    # one in-node value and no zeros: the min is the max
+    csc = build_sorted_csc(sparse.csr_matrix(np.array([[0.5], [0.5], [0.9]])))
+    got, want = both_rf_best(csc, np.array([0, 0, 1]), np.array([0, 1, 1]),
+                             np.array([1, 1, 1]), 2, [0, 0], [0.5, 0.0],
+                             np.array([1, 1]), 0)
+    assert got == want == (0.0, -1, 0.0)
+
+
+def test_rf_equal_gains_go_to_the_first_candidate():
+    rng = np.random.default_rng(4)
+    csc, dense, y, weights, node_of, counts = random_forest_node(
+        rng, 50, 12, 3, ties=True)
+    assert np.array_equal(dense[:, 0], dense[:, 11])   # duplicated columns
+    for feats in ([0, 11, 0], [11, 0, 11], [4, 4]):
+        got, want = both_rf_best(csc, node_of, y, weights, 3, feats,
+                                 [0.3] * len(feats), counts, 1)
+        assert got == want
+        assert got[1] == feats[0]
+
+
+def test_rf_threshold_at_the_max_falls_back_to_the_min():
+    dense = np.array([[0.25, 0.0], [0.5, 0.0], [0.75, 1.0], [0.75, 0.0]])
+    y = np.array([0, 0, 1, 1])
+    weights = np.array([1, 2, 1, 0])
+    node_of = np.array([0, 0, 0, -1])
+    counts = np.array([3, 1])
+    csc = build_sorted_csc(sparse.csr_matrix(dense))
+    got, want = both_rf_best(csc, node_of, y, weights, 2, [0], [1.0],
+                             counts, 1)
+    assert got == want
+    assert got[1] == 0 and got[2] == 0.25               # vmin, no zeros
 
 
 @pytest.mark.parametrize("seed", range(4))

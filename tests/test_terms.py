@@ -1,11 +1,12 @@
 import time
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refdoc import textprep
-from refdoc.corpus import CommitRecord, Dataset, METHOD_TYPES
+from refdoc.corpus import CommitRecord, Dataset, METHOD_TYPES, parse_label
 from refdoc.corpus import RefactoringType as RT
 from refdoc.errors import InsufficientClass
 from refdoc.terms import (
@@ -170,6 +171,30 @@ def test_catalog_is_user_extensible():
         "[RenameMethod]\nrebrand* the [] method\n")
     hits = match_patterns("rebranded the parser method", catalog)
     assert hits == {RT.RENAME_METHOD: ["rebrand* the [] method"]}
+
+
+def test_bracketed_patterns_are_not_read_as_headers():
+    catalog = PatternCatalog.from_text(
+        "[MoveMethod]\n[] []\n[] method into a []\n")
+    assert catalog.patterns == {
+        RT.MOVE_METHOD: ["[] []", "[] method into a []"]}
+    hits = match_patterns("moved method into a helper", catalog)
+    assert sorted(hits[RT.MOVE_METHOD]) == ["[] []", "[] method into a []"]
+    assert match_patterns("moved it", catalog) == {RT.MOVE_METHOD: ["[] []"]}
+
+
+def test_bundled_catalog_headers_are_its_bracketed_lines():
+    """Every bracketed line of the bundled catalog is a class header, so
+    the label check leaves its parse as it was."""
+    text = resources.files("refdoc.data").joinpath(
+        "pattern_catalog.txt").read_text("utf-8")
+    expected, current = {}, None
+    for line in map(str.strip, text.splitlines()):
+        if line.startswith("[") and line.endswith("]"):
+            current = expected.setdefault(parse_label(line[1:-1]), [])
+        elif line:
+            current.append(line)
+    assert load_catalog().patterns == expected
 
 
 def _catalog_words(catalog):
