@@ -172,16 +172,13 @@ def rf_best_candidate(indptr, rows, vals, node_of, node, y, weights,
 
     Thresholds interpolate between the in-node min and max of the candidate
     feature; Gini impurity decrease decides, first best wins on ties.
-    Returns (gain, feature, threshold), or (0.0, -1, 0.0) when no candidate
-    has a legal split with positive gain.
+    Returns (0.0, -1, 0.0) when no legal candidate has positive gain.
 
-    All candidates are scored in one pass. Their column entries are
-    gathered together and masked to the node; since values are sorted
-    within a column, a candidate's in-node min and max are its first and
-    last masked entries. Class counts come from one bincount over
-    (candidate, class) bins for the whole column and one for the entries
-    at or below the threshold. The weights are integer-valued, so the
-    counts and their sums are exact.
+    All candidates are scored at once. Values are sorted within a column,
+    so a candidate's in-node min and max are its first and last in-node
+    entries. Class counts come from one bincount over (candidate, class)
+    bins for the in-node entries and one for those at or below the
+    threshold; the weights are integer-valued, so the counts are exact.
     """
     fail = 0.0, -1, 0.0
     n_cand = cand_feats.size

@@ -30,10 +30,8 @@ def _margins(weights, bias, X):
 
 
 def logreg_loss(weights, bias, X, y, l2_weight, margins=None):
-    """Regularized negative log-likelihood (sum over the batch).
-
-    margins, when given, must be X @ weights + bias as _margins computes it.
-    """
+    """Regularized negative log-likelihood (sum over the batch); margins,
+    when given, must be _margins(weights, bias, X)."""
     z = _margins(weights, bias, X) if margins is None else margins
     nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
     return nll + 0.5 * float(l2_weight) * float(weights @ weights)
@@ -56,11 +54,7 @@ def logreg_gradient(weights, bias, X, y, l2_weight, margins=None, XT=None):
 
 
 def fit_binary(X, y, *, l2_weight, tol, max_iter):
-    """Gradient descent with backtracking line search on one binary problem.
-
-    Each line-search trial computes its margins once; the accepted trial's
-    margins serve the next gradient, and X.T is built as CSR once.
-    """
+    """Gradient descent with backtracking line search on one binary problem."""
     n_features = X.shape[1]
     XT = X.T.tocsr()
     w = np.zeros(n_features, dtype=np.float64)
