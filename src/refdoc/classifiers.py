@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import ALL_TYPES, RefactoringType
 from .errors import EmptyFeatures, InsufficientClass, SingleClass
-from .features import Vocabulary, vectors_to_csr
+from .features import Vocabulary
 from .logreg import LogisticOvA
 from .naive_bayes import NaiveBayes
 from .trees import BoostedClassifier, ForestClassifier
@@ -75,6 +75,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if _value_problem("n_max", self.n_max, 1) or self.n_max > 3:
+            raise ValueError(f"n_max must be 1, 2 or 3, not {self.n_max!r}")
+        if _value_problem("k_select", self.k_select, 1):
+            raise ValueError(f"k_select must be an integer >= 1, "
+                             f"not {self.k_select!r}")
         defaults = DEFAULT_HYPERPARAMETERS[self.algorithm]
         unknown = [k for k in self.hyperparameters if k not in defaults]
         if unknown:
@@ -98,10 +103,11 @@ class TrainedModel:
     estimator: object
 
 
-def dense_row(vec: dict, vocab: Vocabulary) -> np.ndarray:
-    """Expand a positional row from features.vectorize to a dense array."""
-    row = np.zeros(vocab.n_selected, dtype=np.float64)
-    row[list(vec)] = list(vec.values())
+def dense_row(X, i: int) -> np.ndarray:
+    """Row i of a CSR matrix as a dense array."""
+    row = np.zeros(X.shape[1], dtype=np.float64)
+    start, stop = X.indptr[i], X.indptr[i + 1]
+    row[X.indices[start:stop]] = X.data[start:stop]
     return row
 
 
@@ -111,14 +117,10 @@ def make_estimator(config: ModelConfig):
     return ESTIMATORS[config.algorithm](**config.hyperparameters, **seed)
 
 
-def train(config: ModelConfig, vectors, labels,
-          vocab: Vocabulary) -> TrainedModel:
-    """Fit the configured algorithm on positional rows from vectorize.
-
-    Deterministic given (config.seed, data). Requires two classes with at
-    least two samples each and at least one nonempty vector.
-    """
-    vectors = list(vectors)
+def train(config: ModelConfig, X, labels, vocab: Vocabulary) -> TrainedModel:
+    """Fit the configured algorithm on the weighted CSR rows of X from
+    features.vectorize. Deterministic given (config.seed, data). Requires
+    two classes with two samples each and at least one nonempty row."""
     labels = list(labels)
     have = Counter(labels)
     class_order = tuple(t for t in ALL_TYPES if t in have)
@@ -127,10 +129,9 @@ def train(config: ModelConfig, vectors, labels,
     for cls in class_order:
         if have[cls] < 2:
             raise InsufficientClass(cls.value, have[cls], 2)
-    if not any(vectors):
+    if not X.nnz:
         raise EmptyFeatures("every document vectorized to nothing")
 
-    X = vectors_to_csr(vectors, vocab.n_selected)
     class_idx = {c: i for i, c in enumerate(class_order)}
     y_idx = np.array([class_idx[lab] for lab in labels], dtype=np.int64)
 
@@ -140,15 +141,16 @@ def train(config: ModelConfig, vectors, labels,
                         estimator=estimator)
 
 
-def predict(model: TrainedModel, vec: dict) -> dict:
-    """Per-class scores for one positional row from features.vectorize.
+def predict(model: TrainedModel, X) -> list:
+    """One {class: score} dict per weighted CSR row of X.
 
     nb and logreg scores are probabilities summing to one; rf and gbt
     scores are the one-vs-all vote fraction and sigmoid margin. The
     predicted label is the argmax with ties broken by class order.
     """
-    scores = model.estimator.score_row(dense_row(vec, model.vocab))
-    return {cls: float(s) for cls, s in zip(model.class_order, scores)}
+    return [{cls: float(s) for cls, s in zip(
+                model.class_order, model.estimator.score_row(dense_row(X, i)))}
+            for i in range(X.shape[0])]
 
 
 def predicted_label(scores: dict, class_order) -> RefactoringType:

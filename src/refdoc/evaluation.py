@@ -3,9 +3,10 @@
 Per-class F is evaluated in its integer form 2tp/(2tp+fp+fn), which equals
 2PR/(P+R) exactly and keeps every metric a single correctly rounded
 division; all 0/0 cases resolve to 0. Cross-validation counts each
-message's n-grams once, pools one confusion matrix over all folds and
-rebuilds vocabulary and model per fold from the training folds' counts
-only, through pipeline.fit, so training's None-class rule holds.
+message's n-grams once into one count matrix, pools one confusion matrix
+over all folds and rebuilds vocabulary and model per fold from the
+training folds' rows only, through pipeline.fit_counts, so training's
+None-class rule holds.
 """
 
 from __future__ import annotations
@@ -200,10 +201,12 @@ def stratified_folds(labels: Sequence[RefactoringType], folds: int,
     return [np.array(sorted(a), dtype=np.int64) for a in assignment]
 
 
-def fit_fold(dataset: Dataset, train_idx, config, counts):
-    """Vocabulary and model from the train_idx rows (and their counts) only."""
-    return pipeline.fit([dataset.records[i] for i in train_idx], config,
-                        [counts[i] for i in train_idx])
+def fit_fold(dataset: Dataset, train_idx, config, matrix):
+    """Vocabulary and model from the train_idx rows only, given the
+    (ngrams, counts) count matrix of every row from pipeline.count_matrix."""
+    ngrams, counts = matrix
+    labels = [dataset.records[i].label for i in train_idx]
+    return pipeline.fit_counts(counts[train_idx], ngrams, labels, config)
 
 
 def cross_validate(dataset: Dataset, config, folds: int = 10,
@@ -215,16 +218,15 @@ def cross_validate(dataset: Dataset, config, folds: int = 10,
     labels = [r.label for r in records]
     fold_idx = stratified_folds(labels, folds, seed)
     classes = dataset.classes()
-    counts = [pipeline.featurize(r.message, config.n_max) for r in records]
+    doc_counts = [pipeline.featurize(r.message, config.n_max) for r in records]
+    matrix = pipeline.count_matrix(doc_counts)
 
     pairs = []
-    all_idx = np.arange(len(records))
     for test_idx in fold_idx:
-        in_test = np.zeros(len(records), dtype=bool)
-        in_test[test_idx] = True
-        model = fit_fold(dataset, all_idx[~in_test], config, counts)
-        for i in test_idx:
-            pred, _ = pipeline.predict_message(model, records[i].message,
-                                               counts[i])
-            pairs.append((labels[i], pred))
+        train_idx = np.setdiff1d(np.arange(len(records)), test_idx)
+        model = fit_fold(dataset, train_idx, config, matrix)
+        predicted = pipeline.predict_counts(
+            model, [doc_counts[i] for i in test_idx])
+        pairs.extend((labels[i], label)
+                     for i, (label, _) in zip(test_idx, predicted))
     return report_from_pairs(pairs, classes, asdict(config), folds, seed)

@@ -1,14 +1,13 @@
 """N-gram vocabulary, TF-IDF weighting, Fisher ranking, vectorization.
 
-Weighting is pinned for bit-reproducibility: TF is the raw in-document
-count, IDF is ln((1+N)/(1+df)) + 1, and document vectors over the selected
-features are L2-normalized. Fisher scores are computed over the
-unnormalized count*idf values as axis-0 sums of C-ordered blocks, which
-numpy takes row by row in dataset order: bit-equal to a row-by-row loop.
-
-weigh turns one document's n-gram count dict into a positional row:
-{column: weight} in ascending column order, where column p is feature
-selected[p]. Every estimator reads that row; vectors_to_csr stacks rows.
+Features take one form from counting to the estimator, a docs x columns
+CSR matrix: vectors_to_csr counts, build_vocabulary ranks the n-grams of
+a count matrix, and vectorize weighs its selected columns, column p
+holding feature selected[p]. Weighting is pinned for bit-reproducibility:
+TF is the raw in-document count, IDF is ln((1+N)/(1+df)) + 1, and rows
+are L2-normalized. Fisher scores are computed over the unnormalized
+count*idf values as axis-0 sums of C-ordered blocks, which numpy takes
+row by row in dataset order: bit-equal to a row-by-row loop.
 """
 
 from __future__ import annotations
@@ -51,8 +50,9 @@ class Vocabulary:
     Feature ids are dense 0..V-1 in lexicographic n-gram order. `selected`
     lists the chosen feature ids ranked by Fisher score descending with
     lexicographic tie-breaking; lowering k therefore yields a prefix of the
-    higher-k selection. `columns` maps each selected n-gram to its column
-    p, the position of its id in `selected`, whose idf is `column_idf[p]`.
+    higher-k selection. `columns` maps each selected n-gram, in column
+    order, to its column p: the position of its id in `selected`, whose
+    idf is `column_idf[p]`.
     """
 
     ngrams: List[Ngram]
@@ -62,9 +62,8 @@ class Vocabulary:
     selected: np.ndarray
     n_max: int
     k_select: int
-    index: Dict[Ngram, int] = field(init=False, repr=False)
     columns: Dict[Ngram, int] = field(init=False, repr=False)
-    column_idf: List[float] = field(init=False, repr=False)
+    column_idf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.ngrams)
@@ -75,12 +74,8 @@ class Vocabulary:
         ids = [int(f) for f in self.selected]
         if len(set(ids)) != len(ids) or not all(0 <= f < n for f in ids):
             raise ValueError("selected must hold distinct n-gram ids")
-        self.index = {g: i for i, g in enumerate(self.ngrams)}
         self.columns = {self.ngrams[f]: p for p, f in enumerate(ids)}
-        self.column_idf = [float(self.idf[f]) for f in ids]
-
-    def __len__(self):
-        return len(self.ngrams)
+        self.column_idf = self.idf[ids]
 
     @property
     def n_selected(self) -> int:
@@ -128,84 +123,73 @@ def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
     return scores
 
 
-def build_vocabulary(docs, labels, n_max: int = 2, k_select: int = 5000) -> Vocabulary:
-    """Vocabulary of preprocessed docs: see vocabulary_from_counts."""
-    return vocabulary_from_counts([count_ngrams(t, n_max) for t in docs],
-                                  labels, n_max, k_select)
+def vectors_to_csr(doc_counts, index) -> sparse.csr_matrix:
+    """Count matrix of n-gram count dicts over index (n-gram -> column).
 
-
-def vocabulary_from_counts(doc_counts, labels, n_max, k_select) -> Vocabulary:
-    """Index every n-gram of the count dicts, weight it, rank-select top k.
-
-    Requires at least two documents and two distinct labels. idf uses the
-    smoothed formula ln((1+N)/(1+df)) + 1, so idf >= 1 everywhere and a
-    feature present in every document scores exactly 1.0. df and the
-    Fisher scores are both taken from one count matrix of the dicts.
+    N-grams missing from index are dropped; each row's columns ascend.
     """
-    if not 1 <= n_max <= 3:
-        raise ValueError("n_max must be 1, 2, or 3")
-    doc_counts = list(doc_counts)
+    indices, data, indptr = [], [], [0]
+    for counts in doc_counts:
+        for gram, count in counts.items():
+            if gram in index:
+                indices.append(index[gram])
+                data.append(count)
+        indptr.append(len(indices))
+    # int32 arrays, as scipy would pick, skip its costly index-dtype check
+    X = sparse.csr_matrix((np.array(data, dtype=np.float64),
+                           np.array(indices, dtype=np.int32),
+                           np.array(indptr, dtype=np.int32)),
+                          shape=(len(indptr) - 1, len(index)))
+    X.sort_indices()
+    return X
+
+
+def build_vocabulary(counts, ngrams, labels, n_max, k_select) -> Vocabulary:
+    """Vocabulary of the rows of a count matrix over the sorted n-grams:
+    the n-grams with nonzero df in those rows, in lexicographic order.
+
+    Requires two documents and two distinct labels. idf is the smoothed
+    ln((1+N)/(1+df)) + 1, so a feature in every document scores 1.0.
+    """
     labels = list(labels)
-    if not doc_counts:
+    n_docs = counts.shape[0]
+    if not n_docs:
         raise EmptyCorpus("no documents")
-    if len(doc_counts) != len(labels):
+    if n_docs != len(labels):
         raise ValueError("docs and labels length mismatch")
     if len(set(labels)) < 2:
         raise SingleClass("need at least two distinct labels")
 
-    ngrams = sorted(set().union(*doc_counts))
-    if not ngrams:
+    keep = np.flatnonzero(np.bincount(counts.indices, minlength=len(ngrams)))
+    if not keep.size:
         raise EmptyCorpus("every document is empty after preprocessing")
-    index = {g: i for i, g in enumerate(ngrams)}
-    counts = vectors_to_csr(
-        [{index[g]: c for g, c in dc.items()} for dc in doc_counts],
-        len(ngrams))
-
-    doc_freq = np.bincount(counts.indices, minlength=len(ngrams))
-    idf = np.log((1.0 + len(doc_counts)) / (1.0 + doc_freq)) + 1.0
+    counts = counts[:, keep]
+    doc_freq = np.bincount(counts.indices, minlength=keep.size)
+    idf = np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
     fisher = fisher_scores(counts, labels, idf)
 
     # ngrams is sorted, so a stable sort breaks score ties lexicographically
     selected = np.argsort(-fisher, kind="stable")[:k_select].astype(np.int64)
     return Vocabulary(
-        ngrams=ngrams, doc_freq=doc_freq, idf=idf, fisher=fisher,
-        selected=selected, n_max=n_max, k_select=k_select,
+        ngrams=[ngrams[j] for j in keep], doc_freq=doc_freq, idf=idf,
+        fisher=fisher, selected=selected, n_max=n_max, k_select=k_select,
     )
 
 
-def vectorize(tokens, vocab: Vocabulary) -> Dict[int, float]:
-    """Positional TF-IDF row of one preprocessed doc: see weigh."""
-    return weigh(count_ngrams(tokens, vocab.n_max), vocab)
+def vectorize(counts, vocab: Vocabulary) -> sparse.csr_matrix:
+    """TF-IDF rows of a count matrix over the selected columns.
 
-
-def weigh(counts: Dict[Ngram, int], vocab: Vocabulary) -> Dict[int, float]:
-    """Positional TF-IDF row of one doc's n-gram counts: {column: weight}.
-
-    weight = count(g in doc) * idf(g) for each selected n-gram g, at g's
-    column, then the row is L2-normalized and ordered by column.
-    Out-of-vocabulary and unselected n-grams are ignored; an all-zero doc
-    yields the empty row.
+    weight = count * idf at each entry, then each nonempty row is divided
+    by the square root of its exactly rounded sum of squares (math.fsum),
+    and its columns ascend. An all-zero row stays empty.
     """
-    weights: Dict[int, float] = {}
-    for gram, count in counts.items():
-        col = vocab.columns.get(gram)
-        if col is not None:
-            weights[col] = count * vocab.column_idf[col]
-    if not weights:
-        return {}
-    norm = math.sqrt(math.fsum(w * w for w in weights.values()))
-    return {col: weights[col] / norm for col in sorted(weights)}
-
-
-def vectors_to_csr(rows, n_columns: int) -> sparse.csr_matrix:
-    """Stack positional rows ({column: value}, any column order) into CSR."""
-    indices = [c for row in rows for c in row]
-    data = [v for row in rows for v in row.values()]
-    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
-    X = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64), indptr),
-        shape=(len(rows), n_columns),
-    )
+    data = counts.data * vocab.column_idf[counts.indices]
+    squares = (data * data).tolist()
+    bounds = counts.indptr.tolist()
+    norms = [math.sqrt(math.fsum(squares[a:b]))
+             for a, b in zip(bounds, bounds[1:])]
+    data /= np.repeat(norms, np.diff(counts.indptr))
+    X = sparse.csr_matrix((data, counts.indices.copy(), counts.indptr.copy()),
+                          shape=counts.shape)
     X.sort_indices()
     return X

@@ -48,18 +48,17 @@ def inconsistency_report(dataset: Dataset, model,
     if not model.config.include_none:
         raise ValueError("inconsistency analysis needs a model trained "
                          "with include_none")
+    labeled = [rec for rec in dataset if rec.label is not None]
+    predicted = pipeline.predict_counts(model, [
+        pipeline.featurize(rec.message, model.vocab.n_max) for rec in labeled])
     counts = {case: 0 for case in InconsistencyCase}
     examples = {case: [] for case in InconsistencyCase}
-    total = 0
-    for rec in dataset:
-        if rec.label is None:
-            continue
-        pred, _ = pipeline.predict_message(model, rec.message)
+    for rec, (pred, _) in zip(labeled, predicted):
         case = classify_pair(rec.label, pred)
         counts[case] += 1
         if len(examples[case]) < max_examples:
             examples[case].append(rec.id)
-        total += 1
+    total = len(labeled)
     return {
         "total": total,
         "counts": {case.value: counts[case] for case in InconsistencyCase},

@@ -1,16 +1,14 @@
-"""End-to-end glue: dataset -> n-gram counts -> vocabulary -> model.
+"""End-to-end glue: dataset -> count matrix -> vocabulary -> model.
 
 The one fit path and the one message-to-label path: the CLI,
-cross-validation, the inconsistency report and the service all call fit
-and predict_message rather than repeating their steps.
+cross-validation, the inconsistency report and the service all go
+through fit_counts and predict_counts rather than repeating their steps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from . import classifiers, features, textprep
-from .corpus import CommitRecord, RefactoringType
+from .corpus import RefactoringType
 from .errors import UnknownLabel
 
 
@@ -19,21 +17,33 @@ def featurize(message: str, n_max: int):
     return features.count_ngrams(textprep.preprocess(message), n_max)
 
 
-def fit(dataset: Iterable[CommitRecord], config: classifiers.ModelConfig,
-        counts=None) -> classifiers.TrainedModel:
-    """Train the configured pipeline on fully labeled records.
+def count_matrix(doc_counts):
+    """(ngrams, counts): the sorted n-grams of the count dicts and their
+    count matrix over them."""
+    ngrams = sorted(set().union(*doc_counts))
+    return ngrams, features.vectors_to_csr(
+        doc_counts, {g: j for j, g in enumerate(ngrams)})
 
-    dataset is any iterable of records, a corpus.Dataset or a plain list
-    such as one cross-validation fold's training rows. None-labeled rows
-    are rejected unless the config says include_none, and include_none
-    demands that such rows exist rather than synthesizing them. counts,
-    if given, holds featurize's dict of each record, from a caller that
-    counted them already.
-    """
+
+def fit(dataset, config: classifiers.ModelConfig) -> classifiers.TrainedModel:
+    """Train the configured pipeline on fully labeled records: any
+    iterable of them, a corpus.Dataset or a plain list."""
     records = list(dataset)
-    if any(r.label is None for r in records):
+    ngrams, counts = count_matrix(
+        [featurize(r.message, config.n_max) for r in records])
+    return fit_counts(counts, ngrams, [r.label for r in records], config)
+
+
+def fit_counts(counts, ngrams, labels, config: classifiers.ModelConfig):
+    """Train on the rows of a count matrix over the sorted n-grams.
+
+    None-labeled rows are rejected unless the config says include_none,
+    and include_none demands that such rows exist.
+    """
+    labels = list(labels)
+    if None in labels:
         raise UnknownLabel("training needs labels on every record")
-    has_none = any(r.label is RefactoringType.NONE for r in records)
+    has_none = RefactoringType.NONE in labels
     if has_none and not config.include_none:
         raise UnknownLabel(
             "dataset has None-labeled rows; pass include_none to use them")
@@ -41,21 +51,22 @@ def fit(dataset: Iterable[CommitRecord], config: classifiers.ModelConfig,
         raise UnknownLabel(
             "include_none requires None-labeled rows in the corpus")
 
-    if counts is None:
-        counts = [featurize(r.message, config.n_max) for r in records]
-    labels = [r.label for r in records]
-    vocab = features.vocabulary_from_counts(counts, labels, config.n_max,
-                                            config.k_select)
-    vectors = [features.weigh(c, vocab) for c in counts]
-    return classifiers.train(config, vectors, labels, vocab)
+    vocab = features.build_vocabulary(counts, ngrams, labels, config.n_max,
+                                      config.k_select)
+    column = {g: j for j, g in enumerate(ngrams)}
+    X = features.vectorize(counts[:, [column[g] for g in vocab.columns]],
+                           vocab)
+    return classifiers.train(config, X, labels, vocab)
 
 
-def predict_message(model: classifiers.TrainedModel, message: str,
-                    counts=None):
-    """(label, scores) for one raw commit message, or for its featurize
-    counts when the caller holds them already."""
-    if counts is None:
-        counts = featurize(message, model.vocab.n_max)
-    scores = classifiers.predict(model, features.weigh(counts, model.vocab))
-    label = classifiers.predicted_label(scores, model.class_order)
-    return label, scores
+def predict_counts(model: classifiers.TrainedModel, doc_counts):
+    """[(label, scores)] for the featurize counts of each message."""
+    counts = features.vectors_to_csr(doc_counts, model.vocab.columns)
+    return [(classifiers.predicted_label(scores, model.class_order), scores)
+            for scores in classifiers.predict(
+                model, features.vectorize(counts, model.vocab))]
+
+
+def predict_message(model: classifiers.TrainedModel, message: str):
+    """(label, scores) for one raw commit message."""
+    return predict_counts(model, [featurize(message, model.vocab.n_max)])[0]

@@ -27,13 +27,32 @@ from refdoc.evaluation import (
     per_class_metrics,
     stratified_folds,
 )
-from refdoc.features import FISHER_EPS, build_vocabulary, vectorize
+from refdoc import features
+from refdoc.features import FISHER_EPS, count_ngrams
 from refdoc.logreg import logreg_gradient, logreg_loss
-from refdoc.pipeline import featurize
+from refdoc.pipeline import count_matrix, featurize
 
 
 def _pass(line):
     print(f"ACCEPTANCE PASS: {line}")
+
+
+def build_vocabulary(docs, labels, n_max, k_select):
+    """Vocabulary of token lists, counted as pipeline.fit counts them."""
+    ngrams, counts = count_matrix([count_ngrams(d, n_max) for d in docs])
+    return features.build_vocabulary(counts, ngrams, labels, n_max, k_select)
+
+
+def weighted_rows(docs, vocab):
+    """The weighted CSR rows of token lists."""
+    return features.vectorize(features.vectors_to_csr(
+        [count_ngrams(d, vocab.n_max) for d in docs], vocab.columns), vocab)
+
+
+def row_dicts(X):
+    """Each CSR row as {column: value}."""
+    return [dict(zip(X.indices[a:b].tolist(), X.data[a:b].tolist()))
+            for a, b in zip(X.indptr[:-1], X.indptr[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +124,9 @@ def test_tfidf_oracle_on_random_corpora():
     for docs, labels in _random_corpora():
         vocab = build_vocabulary(docs, labels, n_max=2, k_select=10 ** 6)
         column = {int(f): p for p, f in enumerate(vocab.selected)}
+        index = {g: i for i, g in enumerate(vocab.ngrams)}
         n_docs = len(docs)
-        for tokens in docs:
-            got = vectorize(tokens, vocab)
+        for tokens, got in zip(docs, row_dicts(weighted_rows(docs, vocab))):
             # independent evaluation of the stated weighting formula
             counts = {}
             for n in (1, 2):
@@ -122,7 +141,7 @@ def test_tfidf_oracle_on_random_corpora():
                 if df == 0:
                     continue
                 idf = math.log((1 + n_docs) / (1 + df)) + 1.0
-                weights[column[vocab.index[gram]]] = c * idf
+                weights[column[index[gram]]] = c * idf
             norm = math.sqrt(sum(w * w for w in weights.values()))
             expected = {col: w / norm for col, w in weights.items()}
             assert got.keys() == expected.keys()
@@ -136,6 +155,7 @@ def test_fisher_oracle_on_random_corpora():
     worst = 0.0
     for docs, labels in _random_corpora():
         vocab = build_vocabulary(docs, labels, n_max=2, k_select=10 ** 6)
+        index = {g: i for i, g in enumerate(vocab.ngrams)}
         got = vocab.fisher
         classes = sorted(set(labels), key=lambda t: t.value)
         values = []
@@ -144,7 +164,7 @@ def test_fisher_oracle_on_random_corpora():
             for n in (1, 2):
                 for i in range(len(tokens) - n + 1):
                     gram = tuple(tokens[i:i + n])
-                    fid = vocab.index[gram]
+                    fid = index[gram]
                     row[fid] = row.get(fid, 0.0) + float(vocab.idf[fid])
             values.append(row)
         for j in range(len(vocab.ngrams)):
@@ -180,12 +200,13 @@ def test_nb_oracle_on_fixed_five_doc_corpus():
     labels = [RT.EXTRACT_METHOD, RT.EXTRACT_METHOD,
               RT.RENAME_METHOD, RT.RENAME_METHOD, RT.RENAME_METHOD]
     vocab = build_vocabulary(docs, labels, n_max=1, k_select=100)
-    vectors = [vectorize(d, vocab) for d in docs]
-    model = train(ModelConfig(algorithm="nb"), vectors, labels, vocab)
+    X = weighted_rows(docs + [[]], vocab)   # the last row is empty
+    vectors = row_dicts(X)[:-1]
+    model = train(ModelConfig(algorithm="nb"), X[:-1], labels, vocab)
 
     n_feat = vocab.n_selected
     worst = 0.0
-    for query in vectors + [{}]:
+    for query, scores in zip(vectors + [{}], predict(model, X)):
         log_joint = {}
         for cls in (RT.EXTRACT_METHOD, RT.RENAME_METHOD):
             rows = [v for v, lab in zip(vectors, labels) if lab == cls]
@@ -201,7 +222,6 @@ def test_nb_oracle_on_fixed_five_doc_corpus():
         m = max(log_joint.values())
         exp = {cls: math.exp(v - m) for cls, v in log_joint.items()}
         s = sum(exp.values())
-        scores = predict(model, query)
         for cls in exp:
             delta = abs(scores[cls] - exp[cls] / s)
             worst = max(worst, delta)
@@ -263,16 +283,16 @@ def test_fold_stratification_and_leakage_guard():
     test_fold = fold_idx[0]
     train_idx = np.array(sorted(set(range(len(ds))) - set(test_fold)))
     config = ModelConfig(algorithm="nb")
-    before = fit_fold(ds, train_idx, config,
-                      [featurize(r.message, config.n_max) for r in ds])
+    before = fit_fold(ds, train_idx, config, count_matrix(
+        [featurize(r.message, config.n_max) for r in ds]))
 
     mutated = list(ds.records)
     victim = int(test_fold[0])
     mutated[victim] = CommitRecord(mutated[victim].id, "p",
                                    "wholly unrelated perturbation text",
                                    mutated[victim].label)
-    after = fit_fold(Dataset(mutated), train_idx, config,
-                     [featurize(r.message, config.n_max) for r in mutated])
+    after = fit_fold(Dataset(mutated), train_idx, config, count_matrix(
+        [featurize(r.message, config.n_max) for r in mutated]))
     assert before.vocab.ngrams == after.vocab.ngrams
     assert np.array_equal(before.vocab.idf, after.vocab.idf)
     assert np.array_equal(before.vocab.fisher, after.vocab.fisher)

@@ -20,7 +20,12 @@ from refdoc.classifiers import (
 )
 from refdoc.corpus import RefactoringType as RT
 from refdoc.errors import EmptyFeatures, InsufficientClass, NonFinite, SingleClass
-from refdoc.features import build_vocabulary, vectorize
+from refdoc.features import (
+    build_vocabulary,
+    count_ngrams,
+    vectorize,
+    vectors_to_csr,
+)
 from refdoc.logreg import fit_binary, logreg_gradient, logreg_loss
 
 
@@ -30,9 +35,21 @@ def toy_corpus():
             ["rename", "method"], ["rename", "name"]]
     labels = [RT.EXTRACT_METHOD, RT.EXTRACT_METHOD,
               RT.RENAME_METHOD, RT.RENAME_METHOD]
-    vocab = build_vocabulary(docs, labels, n_max=1, k_select=100)
-    vectors = [vectorize(d, vocab) for d in docs]
-    return docs, labels, vocab, vectors
+    return docs, labels, *unigram_rows(docs, labels, k_select=100)
+
+
+def unigram_rows(docs, labels, k_select):
+    """(vocab, weighted CSR rows) of token lists over their unigrams."""
+    doc_counts = [count_ngrams(d, 1) for d in docs]
+    ngrams, counts = pipeline.count_matrix(doc_counts)
+    vocab = build_vocabulary(counts, ngrams, labels, 1, k_select)
+    return vocab, vectorize(vectors_to_csr(doc_counts, vocab.columns), vocab)
+
+
+def row_dicts(X):
+    """Each CSR row as {column: value}."""
+    return [dict(zip(X.indices[a:b].tolist(), X.data[a:b].tolist()))
+            for a, b in zip(X.indptr[:-1], X.indptr[1:])]
 
 
 def closed_form_nb_posteriors(vectors, labels, vocab, query, alpha=1.0):
@@ -91,6 +108,18 @@ def test_illegal_hyperparameter_value_is_rejected(algo, name, value):
         ModelConfig(algorithm=algo, hyperparameters={name: value})
 
 
+def test_n_max_out_of_range_rejected():
+    for bad in (0, 4, True, 2.0):
+        with pytest.raises(ValueError, match="n_max"):
+            ModelConfig(algorithm="nb", n_max=bad)
+
+
+@pytest.mark.parametrize("bad", [-5, 0, True, 5.0, "5000"])
+def test_illegal_k_select_rejected(bad):
+    with pytest.raises(ValueError, match="k_select"):
+        ModelConfig(algorithm="nb", k_select=bad)
+
+
 def test_boundary_hyperparameter_values_are_legal():
     ModelConfig(algorithm="gbt", hyperparameters={
         "max_leaves": 2, "n_trees": 1, "min_samples_per_leaf": 1,
@@ -117,27 +146,26 @@ def test_fit_binary_hyperparameters_have_no_defaults():
 
 
 def test_nb_posterior_matches_closed_form_bayes():
-    _, labels, vocab, vectors = toy_corpus()
-    model = train(ModelConfig(algorithm="nb"), vectors, labels, vocab)
-    for vec in vectors:
+    _, labels, vocab, X = toy_corpus()
+    model = train(ModelConfig(algorithm="nb"), X, labels, vocab)
+    vectors = row_dicts(X)
+    for vec, scores in zip(vectors, predict(model, X)):
         expected = closed_form_nb_posteriors(vectors, labels, vocab, vec)
-        scores = predict(model, vec)
         for cls, want in expected.items():
             assert scores[cls] == pytest.approx(want, abs=1e-12)
 
 
 def test_nb_training_docs_predicted_correctly():
-    _, labels, vocab, vectors = toy_corpus()
-    model = train(ModelConfig(algorithm="nb"), vectors, labels, vocab)
-    for vec, lab in zip(vectors, labels):
-        scores = predict(model, vec)
+    _, labels, vocab, X = toy_corpus()
+    model = train(ModelConfig(algorithm="nb"), X, labels, vocab)
+    for scores, lab in zip(predict(model, X), labels):
         assert predicted_label(scores, model.class_order) is lab
 
 
 def test_nb_empty_vector_gives_uniform_prior_scores():
-    _, labels, vocab, vectors = toy_corpus()
-    model = train(ModelConfig(algorithm="nb"), vectors, labels, vocab)
-    scores = predict(model, {})
+    _, labels, vocab, X = toy_corpus()
+    model = train(ModelConfig(algorithm="nb"), X, labels, vocab)
+    scores, = predict(model, sparse.csr_matrix((1, vocab.n_selected)))
     assert scores[RT.EXTRACT_METHOD] == pytest.approx(0.5, abs=1e-12)
     assert scores[RT.RENAME_METHOD] == pytest.approx(0.5, abs=1e-12)
     assert predicted_label(scores, model.class_order) is model.class_order[0]
@@ -171,25 +199,25 @@ def test_argmax_tie_breaks_to_first_in_class_order():
 def test_single_class_rejected():
     docs = [["a", "b"], ["a", "c"], ["b", "c"]]
     labels = [RT.MOVE_METHOD] * 3
-    vocab = build_vocabulary(docs, [RT.MOVE_METHOD, RT.RENAME_METHOD,
-                                    RT.MOVE_METHOD], n_max=1, k_select=10)
-    vectors = [vectorize(d, vocab) for d in docs]
+    vocab, X = unigram_rows(docs, [RT.MOVE_METHOD, RT.RENAME_METHOD,
+                                   RT.MOVE_METHOD], k_select=10)
     with pytest.raises(SingleClass):
-        train(ModelConfig(algorithm="nb"), vectors, labels, vocab)
+        train(ModelConfig(algorithm="nb"), X, labels, vocab)
 
 
 def test_class_with_one_sample_rejected():
-    _, labels, vocab, vectors = toy_corpus()
+    _, labels, vocab, X = toy_corpus()
     labels = [RT.EXTRACT_METHOD, RT.EXTRACT_METHOD,
               RT.EXTRACT_METHOD, RT.RENAME_METHOD]
     with pytest.raises(InsufficientClass):
-        train(ModelConfig(algorithm="nb"), vectors, labels, vocab)
+        train(ModelConfig(algorithm="nb"), X, labels, vocab)
 
 
 def test_all_empty_vectors_rejected():
     _, labels, vocab, _ = toy_corpus()
     with pytest.raises(EmptyFeatures):
-        train(ModelConfig(algorithm="nb"), [{}, {}, {}, {}], labels, vocab)
+        train(ModelConfig(algorithm="nb"),
+              sparse.csr_matrix((4, vocab.n_selected)), labels, vocab)
 
 
 def test_gbt_diverges_with_absurd_learning_rate():
@@ -197,14 +225,13 @@ def test_gbt_diverges_with_absurd_learning_rate():
     # step saturates the wrong side of the sigmoid and the loss blows up
     docs = [["x"], ["x"], ["y"], ["x"], ["y"], ["y"]]
     labels = [RT.EXTRACT_METHOD] * 3 + [RT.RENAME_METHOD] * 3
-    vocab = build_vocabulary(docs, labels, n_max=1, k_select=10)
-    vectors = [vectorize(d, vocab) for d in docs]
+    vocab, X = unigram_rows(docs, labels, k_select=10)
     config = ModelConfig(algorithm="gbt",
                          hyperparameters={"learning_rate": 1e12,
                                           "min_samples_per_leaf": 1,
                                           "n_trees": 5})
     with pytest.raises(NonFinite):
-        train(config, vectors, labels, vocab)
+        train(config, X, labels, vocab)
 
 
 def test_logreg_gradient_zero_bias_on_balanced_symmetric_batch():
@@ -379,9 +406,9 @@ _SCORE_SUM_MODELS = {}
 
 def _score_sum_model(algo):
     if algo not in _SCORE_SUM_MODELS:
-        _, labels, vocab, vectors = toy_corpus()
+        _, labels, vocab, X = toy_corpus()
         _SCORE_SUM_MODELS[algo] = train(ModelConfig(algorithm=algo),
-                                        vectors, labels, vocab)
+                                        X, labels, vocab)
     return _SCORE_SUM_MODELS[algo]
 
 

@@ -198,6 +198,27 @@ def test_train_include_none_requires_none_rows(corpus_path, tmp_path, capsys):
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("flag,value,name", [("--features", "-5", "k_select"),
+                                             ("--features", "0", "k_select"),
+                                             ("--ngram", "4", "n_max")])
+def test_train_rejects_bad_pipeline_setting(corpus_path, tmp_path, capsys,
+                                            flag, value, name):
+    out = tmp_path / "m.json"
+    assert main(["train", str(corpus_path), "--algo", "nb", flag, value,
+                 "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_with_negative_k_select_exits_2(model_path, tmp_path, capsys):
+    payload = json.loads(Path(model_path).read_text())
+    payload["pipeline"]["k_select"] = -5
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    assert main(["predict", "renamed the method", "--model", str(broken)]) == 2
+    assert "k_select" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("none_rows,flags", [(True, []),
                                               (False, ["--include-none"])])
 def test_evaluate_follows_train_none_class_rule(corpus_path, tmp_path, capsys,

@@ -175,10 +175,11 @@ def test_cross_validate_deterministic():
 
 
 def fold_model(ds, train_idx):
-    """fit_fold as cross_validate calls it: every row's counts are passed."""
+    """fit_fold as cross_validate calls it: the count matrix of every row
+    is passed."""
     config = ModelConfig(algorithm="nb")
-    counts = [pipeline.featurize(r.message, config.n_max) for r in ds]
-    return fit_fold(ds, train_idx, config, counts)
+    return fit_fold(ds, train_idx, config, pipeline.count_matrix(
+        [pipeline.featurize(r.message, config.n_max) for r in ds]))
 
 
 def test_fold_models_ignore_test_fold_documents():

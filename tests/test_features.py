@@ -3,22 +3,42 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy import sparse
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from refdoc import classifiers, features, pipeline
 from refdoc.corpus import RefactoringType as RT
 from refdoc.errors import EmptyCorpus, SingleClass
 from refdoc.features import (
     FISHER_EPS,
-    build_vocabulary,
     count_ngrams,
     extract_ngrams,
     fisher_scores,
-    vectorize,
     vectors_to_csr,
 )
 from refdoc.synthetic import generate_corpus
 from refdoc.textprep import preprocess
+
+
+def build_vocabulary(docs, labels, n_max, k_select):
+    """Vocabulary of token lists, counted as pipeline.fit counts them."""
+    ngrams, counts = pipeline.count_matrix([count_ngrams(d, n_max)
+                                            for d in docs])
+    return features.build_vocabulary(counts, ngrams, labels, n_max, k_select)
+
+
+def vectorize(tokens, vocab):
+    """The weighted row of one token list, as {column: weight}."""
+    X = features.vectorize(
+        vectors_to_csr([count_ngrams(tokens, vocab.n_max)], vocab.columns),
+        vocab)
+    return dict(zip(X.indices.tolist(), X.data.tolist()))
+
+
+def ngram_ids(vocab):
+    """n-gram -> feature id."""
+    return {g: i for i, g in enumerate(vocab.ngrams)}
 
 
 def two_doc_vocab():
@@ -31,11 +51,12 @@ def brute_force_fisher(docs, labels, vocab):
     """Straightforward loop evaluation of the Fisher formula."""
     classes = sorted(set(labels), key=lambda t: t.value)
     n_docs = len(docs)
+    index = ngram_ids(vocab)
     values = []
     for tokens in docs:
         counts = count_ngrams(tokens, vocab.n_max)
-        values.append({vocab.index[g]: c * vocab.idf[vocab.index[g]]
-                       for g, c in counts.items() if g in vocab.index})
+        values.append({index[g]: c * vocab.idf[index[g]]
+                       for g, c in counts.items() if g in index})
     scores = []
     for j in range(len(vocab.ngrams)):
         mu_all = 0.0
@@ -65,11 +86,12 @@ def brute_force_fisher(docs, labels, vocab):
 def brute_force_vectorize(tokens, vocab):
     """Positional row: column p holds feature selected[p]."""
     column = {int(f): p for p, f in enumerate(vocab.selected)}
+    index = ngram_ids(vocab)
     weights = {}
     for n in range(1, vocab.n_max + 1):
         for i in range(len(tokens) - n + 1):
             gram = tuple(tokens[i:i + n])
-            fid = vocab.index.get(gram)
+            fid = index.get(gram)
             if fid in column:
                 col = column[fid]
                 weights[col] = weights.get(col, 0.0) + float(vocab.idf[fid])
@@ -81,14 +103,15 @@ def brute_force_vectorize(tokens, vocab):
 
 def test_idf_matches_smoothing_formula():
     _, _, vocab = two_doc_vocab()
-    assert vocab.idf[vocab.index[("method",)]] == pytest.approx(1.0, abs=1e-12)
-    assert vocab.idf[vocab.index[("extract",)]] == \
+    index = ngram_ids(vocab)
+    assert vocab.idf[index[("method",)]] == pytest.approx(1.0, abs=1e-12)
+    assert vocab.idf[index[("extract",)]] == \
         pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
 
 
 def test_idf_floor_for_ubiquitous_feature():
     _, _, vocab = two_doc_vocab()
-    assert vocab.idf[vocab.index[("method",)]] == 1.0
+    assert vocab.idf[ngram_ids(vocab)[("method",)]] == 1.0
     assert np.all(vocab.idf >= 1.0)
 
 
@@ -127,12 +150,12 @@ def test_vectorize_counts_duplicates():
 
 def test_fisher_constant_feature_scores_zero():
     _, _, vocab = two_doc_vocab()
-    assert vocab.fisher[vocab.index[("method",)]] == 0.0
+    assert vocab.fisher[ngram_ids(vocab)[("method",)]] == 0.0
 
 
 def test_fisher_separating_feature_hits_epsilon_guard():
     _, _, vocab = two_doc_vocab()
-    score = vocab.fisher[vocab.index[("extract",)]]
+    score = vocab.fisher[ngram_ids(vocab)[("extract",)]]
     assert np.isfinite(score)
     assert score > 1e9  # zero within-class variance forces a huge score
 
@@ -156,14 +179,6 @@ def test_single_class_rejected():
     with pytest.raises(SingleClass):
         build_vocabulary([["a"], ["b"]], [RT.MOVE_METHOD, RT.MOVE_METHOD],
                          n_max=1, k_select=5)
-
-
-def test_n_max_out_of_range_rejected():
-    docs = [["a"], ["b"]]
-    labels = [RT.MOVE_METHOD, RT.RENAME_METHOD]
-    for bad in (0, 4):
-        with pytest.raises(ValueError):
-            build_vocabulary(docs, labels, n_max=bad, k_select=5)
 
 
 def test_idf_monotone_in_document_frequency():
@@ -238,37 +253,12 @@ def test_nonempty_vectors_have_unit_norm(docs):
 
 
 def test_vectors_to_csr_positions():
-    docs, labels, vocab = two_doc_vocab()
-    vecs = [vectorize(d, vocab) for d in docs]
-    X = vectors_to_csr(vecs, vocab.n_selected)
-    assert X.shape == (2, vocab.n_selected)
-    dense = np.asarray(X.todense())
-    for i, vec in enumerate(vecs):
-        assert np.count_nonzero(dense[i]) == len(vec)
-        for col, w in vec.items():
-            assert dense[i, col] == w
-
-
-def test_build_vocabulary_counts_each_document_once(monkeypatch):
-    from refdoc import features
-    calls = {"count_ngrams": [], "extract_ngrams": []}
-
-    def recorded(name, fn):
-        def wrapper(tokens, n_max):
-            calls[name].append(list(tokens))
-            return fn(tokens, n_max)
-        return wrapper
-
-    # count_ngrams calls extract_ngrams, so each records every n-gram pass
-    for name, fn in (("count_ngrams", count_ngrams),
-                     ("extract_ngrams", extract_ngrams)):
-        monkeypatch.setattr(features, name, recorded(name, fn))
-    docs = [["extract", "method", "code"], ["extract", "helper"],
-            ["rename", "method"], ["rename", "name", "typo"]]
-    labels = [RT.EXTRACT_METHOD, RT.EXTRACT_METHOD, RT.RENAME_METHOD,
-              RT.RENAME_METHOD]
-    build_vocabulary(docs, labels, n_max=2, k_select=5)
-    assert calls == {"count_ngrams": docs, "extract_ngrams": docs}
+    docs = [["move", "move", "code"], [], ["unknown", "code"]]
+    index = {("code",): 0, ("move",): 1}
+    X = vectors_to_csr([count_ngrams(d, 1) for d in docs], index)
+    assert X.shape == (3, 2)
+    assert X.toarray().tolist() == [[1.0, 2.0], [0.0, 0.0], [1.0, 0.0]]
+    assert X.indices.tolist() == [0, 1, 0]   # ascending within each row
 
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12))
@@ -335,13 +325,10 @@ def reference_fisher_scores(counts, labels, idf):
     return scores
 
 
-def count_matrix(docs, vocab):
+def vocab_counts(docs, vocab):
     """docs x n-grams count matrix in the vocabulary's feature ids."""
-    rows = []
-    for tokens in docs:
-        counts = count_ngrams(tokens, vocab.n_max)
-        rows.append(dict(sorted((vocab.index[g], c) for g, c in counts.items())))
-    return vectors_to_csr(rows, len(vocab.ngrams))
+    return vectors_to_csr([count_ngrams(t, vocab.n_max) for t in docs],
+                          ngram_ids(vocab))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -356,7 +343,7 @@ def test_fisher_scores_bit_equal_to_row_by_row_loop(seed):
               for i in range(len(docs))]   # every class, rows interleaved
     vocab = build_vocabulary(docs, labels, n_max=2, k_select=10 ** 6)
     assert len(vocab.ngrams) > 2 * 256   # three blocks or more
-    expected = reference_fisher_scores(count_matrix(docs, vocab), labels,
+    expected = reference_fisher_scores(vocab_counts(docs, vocab), labels,
                                        vocab.idf)
     assert np.array_equal(vocab.fisher, expected)
 
@@ -366,7 +353,7 @@ def test_fisher_scores_traced_peak_on_the_paper_sized_corpus():
     docs = [preprocess(r.message) for r in dataset]
     labels = [r.label for r in dataset]
     vocab = build_vocabulary(docs, labels, n_max=2, k_select=5000)
-    counts = count_matrix(docs, vocab)
+    counts = vocab_counts(docs, vocab)
     tracemalloc.start()
     try:
         fisher_scores(counts, labels, vocab.idf)
@@ -398,3 +385,163 @@ def test_selection_equals_the_python_sort_ranking(seed):
         assert tie_counts.max() > 1
         assert np.array_equal(vocab.selected, reference_ranking(
             vocab.ngrams, vocab.fisher, k_select))
+
+
+# ---------------------------------------------------------------------------
+# the count-matrix path against the dict path it replaced
+# ---------------------------------------------------------------------------
+
+def reference_vocabulary_from_counts(doc_counts, labels, n_max, k_select):
+    """Index every n-gram of the count dicts, weight it, rank-select top k.
+
+    Requires at least two documents and two distinct labels. idf uses the
+    smoothed formula ln((1+N)/(1+df)) + 1, so idf >= 1 everywhere and a
+    feature present in every document scores exactly 1.0. df and the
+    Fisher scores are both taken from one count matrix of the dicts.
+    """
+    if not 1 <= n_max <= 3:
+        raise ValueError("n_max must be 1, 2, or 3")
+    doc_counts = list(doc_counts)
+    labels = list(labels)
+    if not doc_counts:
+        raise EmptyCorpus("no documents")
+    if len(doc_counts) != len(labels):
+        raise ValueError("docs and labels length mismatch")
+    if len(set(labels)) < 2:
+        raise SingleClass("need at least two distinct labels")
+
+    ngrams = sorted(set().union(*doc_counts))
+    if not ngrams:
+        raise EmptyCorpus("every document is empty after preprocessing")
+    index = {g: i for i, g in enumerate(ngrams)}
+    counts = reference_vectors_to_csr(
+        [{index[g]: c for g, c in dc.items()} for dc in doc_counts],
+        len(ngrams))
+
+    doc_freq = np.bincount(counts.indices, minlength=len(ngrams))
+    idf = np.log((1.0 + len(doc_counts)) / (1.0 + doc_freq)) + 1.0
+    fisher = fisher_scores(counts, labels, idf)
+
+    # ngrams is sorted, so a stable sort breaks score ties lexicographically
+    selected = np.argsort(-fisher, kind="stable")[:k_select].astype(np.int64)
+    return features.Vocabulary(
+        ngrams=ngrams, doc_freq=doc_freq, idf=idf, fisher=fisher,
+        selected=selected, n_max=n_max, k_select=k_select,
+    )
+
+
+def reference_weigh(counts, vocab):
+    """Positional TF-IDF row of one doc's n-gram counts: {column: weight}.
+
+    weight = count(g in doc) * idf(g) for each selected n-gram g, at g's
+    column, then the row is L2-normalized and ordered by column.
+    Out-of-vocabulary and unselected n-grams are ignored; an all-zero doc
+    yields the empty row.
+    """
+    weights = {}
+    for gram, count in counts.items():
+        col = vocab.columns.get(gram)
+        if col is not None:
+            weights[col] = count * vocab.column_idf[col]
+    if not weights:
+        return {}
+    norm = math.sqrt(math.fsum(w * w for w in weights.values()))
+    return {col: weights[col] / norm for col in sorted(weights)}
+
+
+def reference_vectors_to_csr(rows, n_columns):
+    """Stack positional rows ({column: value}, any column order) into CSR."""
+    indices = [c for row in rows for c in row]
+    data = [v for row in rows for v in row.values()]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    X = sparse.csr_matrix(
+        (np.asarray(data, dtype=np.float64),
+         np.asarray(indices, dtype=np.int64), indptr),
+        shape=(len(rows), n_columns),
+    )
+    X.sort_indices()
+    return X
+
+
+def reference_fold(doc_counts, labels, train_idx, test_idx, config):
+    """(vocab, train rows, test rows) of one fold by the dict path."""
+    train = [doc_counts[i] for i in train_idx]
+    vocab = reference_vocabulary_from_counts(
+        train, [labels[i] for i in train_idx], config.n_max, config.k_select)
+    rows = [reference_vectors_to_csr(
+                [reference_weigh(c, vocab) for c in part], vocab.n_selected)
+            for part in (train, [doc_counts[i] for i in test_idx])]
+    return vocab, rows[0], rows[1]
+
+
+def matrix_fold(doc_counts, labels, train_idx, test_idx, config):
+    """(vocab, train rows, test rows) of one fold as cross_validate takes
+    them: fit_counts on the shared count matrix, then predict_counts."""
+    ngrams, counts = pipeline.count_matrix(doc_counts)
+    rows = []
+    original = features.vectorize
+
+    def recording(counts, vocab):
+        rows.append(original(counts, vocab))
+        return rows[-1]
+
+    features.vectorize = recording
+    try:
+        model = pipeline.fit_counts(counts[train_idx], ngrams,
+                                    [labels[i] for i in train_idx], config)
+        pipeline.predict_counts(model, [doc_counts[i] for i in test_idx])
+    finally:
+        features.vectorize = original
+    assert len(rows) == 2
+    return model.vocab, rows[0], rows[1]
+
+
+def assert_same_fold(got, expected):
+    vocab, train, test = got
+    ref_vocab, ref_train, ref_test = expected
+    assert vocab.ngrams == ref_vocab.ngrams
+    for name in ("doc_freq", "idf", "fisher", "selected"):
+        a, b = getattr(vocab, name), getattr(ref_vocab, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for X, ref in ((train, ref_train), (test, ref_test)):
+        assert X.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(X, name), getattr(ref, name)), name
+
+
+def test_matrix_path_equals_dict_path_on_every_fold():
+    from refdoc.evaluation import stratified_folds
+    dataset = generate_corpus(per_class=60)
+    labels = [r.label for r in dataset]
+    config = classifiers.ModelConfig(algorithm="nb")
+    doc_counts = [pipeline.featurize(r.message, config.n_max)
+                  for r in dataset]
+    all_idx = np.arange(len(labels))
+    for test_idx in stratified_folds(labels, 10, seed=0):
+        train_idx = np.setdiff1d(all_idx, test_idx)
+        assert_same_fold(
+            matrix_fold(doc_counts, labels, train_idx, test_idx, config),
+            reference_fold(doc_counts, labels, train_idx, test_idx, config))
+
+
+@given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=8),
+                min_size=4, max_size=12),
+       st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8),
+                min_size=1, max_size=6),
+       st.integers(1, 3), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_matrix_path_equals_dict_path_on_token_corpora(train_docs, test_docs,
+                                                       n_max, k_select):
+    # empty documents are drawn, and "g" and "h" occur only in test rows
+    assume(any(train_docs))
+    docs = train_docs + test_docs
+    labels = [(RT.EXTRACT_METHOD, RT.RENAME_METHOD)[i % 2]
+              for i in range(len(docs))]
+    config = classifiers.ModelConfig(algorithm="nb", n_max=n_max,
+                                     k_select=k_select)
+    doc_counts = [count_ngrams(d, n_max) for d in docs]
+    train_idx = np.arange(len(train_docs))
+    test_idx = np.arange(len(train_docs), len(docs))
+    assert_same_fold(
+        matrix_fold(doc_counts, labels, train_idx, test_idx, config),
+        reference_fold(doc_counts, labels, train_idx, test_idx, config))

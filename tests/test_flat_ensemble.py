@@ -31,8 +31,9 @@ def reference_score_row(model, row):
 
 
 def message_row(model, message):
-    counts = pipeline.featurize(message, model.vocab.n_max)
-    return dense_row(features.weigh(counts, model.vocab), model.vocab)
+    counts = features.vectors_to_csr(
+        [pipeline.featurize(message, model.vocab.n_max)], model.vocab.columns)
+    return dense_row(features.vectorize(counts, model.vocab), 0)
 
 
 def assert_scores_match(estimator, rows):

@@ -342,3 +342,16 @@ def test_model_file_records_config_and_metadata(gbt_model, tmp_path):
     assert payload["metadata"]["corpus_fingerprint"] == "abc123"
     assert payload["metadata"]["prng"] == "pcg64"
     assert payload["class_order"] == sorted(payload["class_order"])
+
+
+@pytest.mark.parametrize("name,value", [("k_select", -5), ("k_select", 0),
+                                        ("n_max", 4)])
+def test_bad_pipeline_setting_raises_model_format_error(nb_model, tmp_path,
+                                                        name, value):
+    path = tmp_path / "model.json"
+    save_model(nb_model, path)
+    payload = json.loads(path.read_text())
+    payload["pipeline"][name] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=name):
+        load_model(path)

@@ -1,14 +1,19 @@
-"""The benchmark's tracer wraps refdoc functions by module and name.
+"""The benchmark's tracer wraps refdoc functions by module and name, and
+its workloads call the refdoc API.
 
-A rename or removal of one of its targets would make traced benchmark
-runs fail; this test makes the same install fail in the test suite.
+A rename or removal of one of its targets, or of an entry its workloads
+call, would make benchmark runs fail; these tests make the same install,
+and the benchmark's own selftest, fail in the test suite.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -35,3 +40,9 @@ def test_tracer_installs_and_uninstalls_against_src():
         recorder.uninstall()
     for (module_name, attr), original in before.items():
         assert _lookup(module_name, attr) is original, (module_name, attr)
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -26,7 +26,8 @@ from refdoc.cli import main as cli_main
 from refdoc.synthetic import generate_corpus
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "report_golden.json"
-BUNDLED = Path(refdoc.__file__).resolve().parent / "data" / "synthetic_corpus.jsonl"
+BUNDLED = Path(refdoc.__file__).resolve().parent / "data" / \
+    "synthetic_corpus.jsonl"
 EVALUATED = ("nb", "rf")
 
 
