@@ -189,7 +189,8 @@ def vectorize(counts, vocab: Vocabulary) -> sparse.csr_matrix:
     data *= vocab.column_idf[counts.indices]
     squares = (data * data).tolist()
     bounds = counts.indptr.tolist()
-    for a, b in zip(bounds, bounds[1:]):
-        data[a:b] /= math.sqrt(math.fsum(squares[a:b]))
+    norms = np.array([math.sqrt(math.fsum(squares[a:b]))
+                      for a, b in zip(bounds, bounds[1:])])
+    data /= norms.repeat(counts.indptr[1:] - counts.indptr[:-1])
     counts.sort_indices()
     return counts
