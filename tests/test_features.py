@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from refdoc import classifiers, features, pipeline
 from refdoc.corpus import RefactoringType as RT
