@@ -120,6 +120,9 @@ def _model_from_payload(payload) -> TrainedModel:
         include_none=payload["include_none"],
     )
     vocab = _vocab_from_dict(payload["vocabulary"])
+    if vocab.n_max != config.n_max:
+        raise ModelFormatError(f"vocabulary n_max {vocab.n_max} differs "
+                               f"from the pipeline's {config.n_max}")
     class_order = tuple(parse_label(s) for s in payload["class_order"])
     estimator = make_estimator(config).load_dict(
         payload["parameters"], len(class_order), vocab.n_selected)

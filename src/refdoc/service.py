@@ -1,19 +1,26 @@
 """Read-only prediction service: POST /predict and GET /health.
 
-The model is loaded once at startup and never mutated, so concurrent
-requests are safe; identical requests produce byte-identical responses.
-Bodies over 64 KiB are rejected with 413; malformed ones, and negative or
-non-numeric Content-Length headers, with 400. A client that has not sent
-its whole body REQUEST_TIMEOUT_S seconds after the body began gets 408,
-however it paces the bytes, and a client that stalls in its headers is
-disconnected, so neither holds a thread.
+One asyncio event loop serves every connection, one HTTP/1.0 request per
+connection, and scores the messages one at a time on its thread. The
+model is loaded once at startup and never mutated; identical requests
+produce byte-identical responses. Each request has one deadline,
+REQUEST_TIMEOUT_S seconds from accept to the end of its body: a client
+that has not sent its whole request by then gets 408, however it paces
+the bytes of its request line, headers or body. Bodies over 64 KiB are
+rejected with 413. Malformed request lines, heads over the stream's 64 KiB
+limit, duplicate, negative or non-numeric Content-Length headers and
+malformed bodies get 400, and any other method or path 404.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socket
+import sys
+import threading
+from email.utils import formatdate
+from http import HTTPStatus
 
 from . import pipeline
 from .baseline import keyword_predict
@@ -21,6 +28,7 @@ from .terms import match_patterns
 
 MAX_BODY_BYTES = 64 * 1024
 REQUEST_TIMEOUT_S = 10.0
+SERVER_VERSION = f"refdoc Python/{sys.version.split()[0]}"
 
 
 def predict_payload(model, message: str) -> dict:
@@ -36,88 +44,135 @@ def predict_payload(model, message: str) -> dict:
     }
 
 
-class PredictHandler(BaseHTTPRequestHandler):
-    server_version = "refdoc"
-    timeout = REQUEST_TIMEOUT_S  # per header read; the whole body's deadline
+def _error(status, message):
+    body = json.dumps({"error": message}, sort_keys=True).encode()
+    return status, body, "application/json"
 
-    def log_message(self, format, *args):
-        pass  # keep request logs out of stderr
 
-    def _send(self, status, body: bytes, content_type="application/json"):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status, message):
-        body = json.dumps({"error": message}, sort_keys=True).encode()
-        self._send(status, body)
-
-    def _read_body(self, length):
-        """The body's bytes (fewer if the client closed early), or None
-        when the deadline of self.timeout from now passes first."""
-        deadline = time.monotonic() + self.timeout
-        chunks = []
-        try:
-            while length > 0:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    return None
-                self.connection.settimeout(left)
-                chunk = self.rfile.read1(length)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                length -= len(chunk)
-        except TimeoutError:
+def _content_length(fields):
+    """The body length the header lines declare (0 if none); None when a
+    line is malformed or Content-Length is repeated or not a number."""
+    lengths = []
+    for field in fields:
+        name, colon, value = field.partition(":")
+        if not colon:
             return None
+        if name.lower() == "content-length":
+            lengths.append(value.strip())
+    if not lengths:
+        return 0
+    digits = lengths[0]
+    if len(lengths) > 1 or not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0")
+    # past six digits the body is too large; int() need not read them all
+    return MAX_BODY_BYTES + 1 if len(digits) > 6 else int(digits or 0)
+
+
+async def _answer(model, reader):
+    """(status, body, content type) for the request read from reader."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        return _error(400, "request head too large")
+    request_line, *fields = head[:-4].decode("latin-1").split("\r\n")
+    words = request_line.split(" ")
+    if len(words) != 3 or not words[2].startswith("HTTP/"):
+        return _error(400, "bad request line")
+    if words[:2] == ["GET", "/health"]:
+        return 200, b"ok", "text/plain"
+    if words[:2] != ["POST", "/predict"]:
+        return _error(404, "not found")
+    length = _content_length(fields)
+    if length is None:
+        return _error(400, "bad Content-Length")
+    if length > MAX_BODY_BYTES:
+        return _error(413, "message too large")
+    try:
+        raw = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raw = exc.partial  # the client closed early
+    try:
+        payload = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+        return _error(400, "body must be JSON")
+    if not isinstance(payload, dict) or not isinstance(
+            payload.get("message"), str) or not payload["message"]:
+        return _error(400, "expected {\"message\": \"...\"} with a "
+                           "nonempty message")
+    result = predict_payload(model, payload["message"])
+    return 200, json.dumps(result, sort_keys=True).encode(), "application/json"
+
+
+def _response(status, body, content_type):
+    head = (f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {SERVER_VERSION}\r\n"
+            f"Date: {formatdate(usegmt=True)}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n")
+    return head.encode("latin-1") + body
+
+
+class PredictServer:
+    """A listening socket that serve_forever() serves from one event loop,
+    with the methods of socketserver's servers that callers use."""
+
+    def __init__(self, model, port: int, host: str):
+        self.model = model
+        self.socket = socket.create_server((host, port))
+        self.server_address = self.socket.getsockname()[:2]
+        self._stop = None  # (loop, asyncio.Event) while serving
+        self._serving = threading.Event()
+        self._stopped = threading.Event()
+
+    async def _handle(self, reader, writer):
+        try:
+            try:
+                status, body, content_type = await asyncio.wait_for(
+                    _answer(self.model, reader), REQUEST_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                status, body, content_type = _error(
+                    408, "timed out reading the request")
+            writer.write(_response(status, body, content_type))
+        except (asyncio.IncompleteReadError, OSError):
+            pass  # the client closed or reset the connection mid-head
+        except asyncio.CancelledError:
+            # the server is stopping. The task ends normally because the
+            # stream protocol of Python 3.12 and older calls exception()
+            # on it when it ends, which raises, with a logged traceback,
+            # for a cancelled task.
+            pass
         finally:
-            self.connection.settimeout(self.timeout)
-        return b"".join(chunks)
+            writer.close()
 
-    def do_GET(self):
-        if self.path == "/health":
-            self._send(200, b"ok", content_type="text/plain")
-        else:
-            self._error(404, "not found")
-
-    def do_POST(self):
-        if self.path != "/predict":
-            self._error(404, "not found")
-            return
+    async def _serve(self):
+        self._stop = asyncio.get_running_loop(), asyncio.Event()
+        server = await asyncio.start_server(self._handle, sock=self.socket)
+        self._serving.set()
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            self._error(400, "bad Content-Length")
-            return
-        if length > MAX_BODY_BYTES:
-            self._error(413, "message too large")
-            return
-        raw = self._read_body(length)
-        if raw is None:
-            self._error(408, "timed out reading the body")
-            return
+            await self._stop[1].wait()
+        finally:
+            server.close()  # asyncio.run then cancels unfinished requests
+
+    def serve_forever(self) -> None:
         try:
-            payload = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._error(400, "body must be JSON")
-            return
-        if not isinstance(payload, dict) or not isinstance(
-                payload.get("message"), str) or not payload["message"]:
-            self._error(400, "expected {\"message\": \"...\"} with a "
-                             "nonempty message")
-            return
-        result = predict_payload(self.server.model, payload["message"])
-        self._send(200, json.dumps(result, sort_keys=True).encode())
+            asyncio.run(self._serve())
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop serve_forever(), which must be running, and wait for it."""
+        self._serving.wait()
+        loop, stop = self._stop
+        loop.call_soon_threadsafe(stop.set)
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
 
 
-def make_server(model, port: int, host: str = "127.0.0.1") -> ThreadingHTTPServer:
-    server = ThreadingHTTPServer((host, port), PredictHandler)
-    server.model = model
-    return server
+def make_server(model, port: int, host: str = "127.0.0.1") -> PredictServer:
+    return PredictServer(model, port, host)
 
 
 def serve(model, port: int, host: str = "127.0.0.1") -> None:

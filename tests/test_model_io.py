@@ -355,3 +355,15 @@ def test_bad_pipeline_setting_raises_model_format_error(nb_model, tmp_path,
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match=name):
         load_model(path)
+
+
+@pytest.mark.parametrize("n_max", [0, 3])
+def test_vocabulary_n_max_must_match_the_pipeline(nb_model, tmp_path, n_max):
+    path = tmp_path / "model.json"
+    save_model(nb_model, path)
+    payload = json.loads(path.read_text())
+    assert payload["pipeline"]["n_max"] == 2
+    payload["vocabulary"]["n_max"] = n_max
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="n_max"):
+        load_model(path)
