@@ -8,12 +8,15 @@ its own function so it can be checked against finite differences.
 
 The fit computes the margins X @ w + b once per line-search trial: the
 loss and the next gradient both take the accepted trial's margins, and
-X.T is built as a CSR matrix once per binary problem.
+X.T is built as a CSR matrix once per binary problem. The binary problems
+are independent and are fitted in worker processes (workers.map_parts).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .workers import map_parts
 
 
 def _sigmoid(z):
@@ -100,10 +103,12 @@ class LogisticOvA:
         n_features = X_csr.shape[1]
         self.weights = np.zeros((n_classes, n_features), dtype=np.float64)
         self.bias = np.zeros(n_classes, dtype=np.float64)
-        for c in range(n_classes):
-            y = (y_idx == c).astype(np.float64)
-            w, b = fit_binary(X_csr, y, l2_weight=self.l2_weight,
-                              tol=self.tol, max_iter=self.max_iter)
+        fits = map_parts(lambda classes: [
+            fit_binary(X_csr, (y_idx == c).astype(np.float64),
+                       l2_weight=self.l2_weight, tol=self.tol,
+                       max_iter=self.max_iter)
+            for c in classes], range(n_classes))
+        for c, (w, b) in enumerate(fits):
             self.weights[c] = w
             self.bias[c] = b
         return self

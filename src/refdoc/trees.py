@@ -1,14 +1,16 @@
 """Gradient-boosted and random-forest tree models over sparse TF-IDF rows.
 
 Both models are built on the kernels module. Boosted regression trees grow
-leaf-wise on logistic-loss gradients, one-vs-all per class; the trees of
-all classes in a boosting round grow in lock-step over leaf-local entry
-lists, so one kernel call scores the new leaves of every class. Forest
-trees grow depth-first on bootstrap replicates, scoring a fixed number of
-random (feature, threshold) candidates per node. All randomness is
-pre-drawn from per-tree generator streams spawned from (seed, tree index),
-so training is deterministic. A boosted model scores a row through a
-FlatEnsemble of its trees, which walks all of them at once.
+leaf-wise on logistic-loss gradients, one-vs-all per class. The classes
+are boosted apart in worker processes (workers.map_parts); the trees of
+one worker's classes in a boosting round grow in lock-step over
+leaf-local entry lists, so one kernel call scores the new leaves of all
+of them. Forest trees, fitted in worker processes too, grow depth-first
+on bootstrap replicates, scoring a fixed number of random (feature,
+threshold) candidates per node. All randomness is pre-drawn from
+per-tree generator streams spawned from (seed, tree index), so training
+is deterministic. A boosted model scores a row through a FlatEnsemble of
+its trees, which walks all of them at once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .kernels import build_sorted_csc, get_kernels
+from .workers import map_parts
 
 # Newton leaf steps are clipped so a single tree cannot push a margin to
 # floating overflow before the loss check sees it.
@@ -191,7 +194,9 @@ def fit_regression_tree(csc, g, h, max_leaves, min_leaf):
             class_leaves[best_pid] = _Leaf(left_node, left_entries, ln, lg, lh)
             class_leaves[right_pid] = _Leaf(right_node, right_entries,
                                             rn, rg, rh)
-            new += [(c, class_leaves[best_pid]), (c, class_leaves[right_pid])]
+            if len(class_leaves) < max_leaves:  # else they never split
+                new += [(c, class_leaves[best_pid]),
+                        (c, class_leaves[right_pid])]
 
     preds = []
     for c, class_leaves in enumerate(leaves):
@@ -271,15 +276,25 @@ class BoostedClassifier:
 
     def fit(self, X_csr, y_idx, n_classes):
         csc = build_sorted_csc(X_csr)
-        n = X_csr.shape[0]
         ys = [(y_idx == c).astype(np.float64) for c in range(n_classes)]
         self.f0 = []
         for y in ys:
             pbar = float(y.mean())
             pbar = min(max(pbar, 1e-12), 1.0 - 1e-12)
             self.f0.append(math.log(pbar / (1.0 - pbar)))
-        margins = [np.full(n, f0, dtype=np.float64) for f0 in self.f0]
-        self.trees = [[] for _ in ys]
+        self.trees = map_parts(
+            lambda classes: self._boost(csc, [ys[c] for c in classes],
+                                        [self.f0[c] for c in classes]),
+            range(n_classes))
+        self.flat = FlatEnsemble(self.trees)
+        return self
+
+    def _boost(self, csc, ys, f0s):
+        """The tree lists of the classes with targets ys, boosted together
+        from margins f0s."""
+        margins = [np.full(y.size, f0, dtype=np.float64)
+                   for y, f0 in zip(ys, f0s)]
+        class_trees = [[] for _ in ys]
         for _ in range(self.n_trees):
             g, h = [], []
             for y, m in zip(ys, margins):
@@ -298,9 +313,8 @@ class BoostedClassifier:
                 if not np.isfinite(loss):
                     raise NonFinite(
                         "boosting loss diverged; lower the learning rate")
-                self.trees[c].append(trees[c])
-        self.flat = FlatEnsemble(self.trees)
-        return self
+                class_trees[c].append(trees[c])
+        return class_trees
 
     def score_row(self, row):
         """Per-class sigmoid of the boosted margins for one dense row (the
@@ -407,12 +421,17 @@ class ForestClassifier:
         csc = build_sorted_csc(X_csr)
         n, n_features = X_csr.shape
         self.n_classes = n_classes
-        self.trees = []
-        for t in range(self.n_estimators):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(self.seed, spawn_key=(t,)))
-            self.trees.append(self._fit_one(
-                csc, n, y_idx, n_classes, n_features, rng, kernels))
+
+        def fit_trees(ts):
+            trees = []
+            for t in ts:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(self.seed, spawn_key=(t,)))
+                trees.append(self._fit_one(
+                    csc, n, y_idx, n_classes, n_features, rng, kernels))
+            return trees
+
+        self.trees = map_parts(fit_trees, range(self.n_estimators))
         return self
 
     def score_row(self, row):

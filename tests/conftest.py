@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from refdoc import pipeline
@@ -45,3 +47,19 @@ def bundled_models(request, synthetic_dataset):
             if algo in ("nb", "gbt")
             else pipeline.fit(synthetic_dataset, ModelConfig(algorithm=algo))
             for algo in ALGORITHMS}
+
+
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """The pids of the worker processes forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

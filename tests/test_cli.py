@@ -271,6 +271,22 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # training forks its workers with os.fork; a pool module would add to
+    # the import time and memory of every command. (asyncio, which the
+    # service needs, loads the base of concurrent.futures but no executor.)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, refdoc.cli; print(sorted(m for m in sys.modules if "
+         "m.split('.')[0] == 'multiprocessing' or m in "
+         "('concurrent.futures.process', 'concurrent.futures.thread')))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_predict_with_self_looping_tree_exits_2(gbt_model, tmp_path):
     path = tmp_path / "loop.json"
     save_model(gbt_model, path)
