@@ -42,17 +42,15 @@ def load_rules() -> Tuple[KeywordRule, ...]:
     return tuple(rules)
 
 
-def keyword_predict(message: str, rules=None):
+def keyword_predict(message: str):
     """(label, matches) for one raw message.
 
     `matches` lists every type whose stem hits, in rule priority order;
     `label` is the first of them, or None when nothing matches.
     """
-    if rules is None:
-        rules = load_rules()
     words = _WORD_RE.findall(message.lower())
     matches = []
-    for rule in rules:
+    for rule in load_rules():
         for word in words:
             if rule.stem in word and word not in rule.exclusions:
                 matches.append(rule.target)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ALL_TYPES, RefactoringType
+from .corpus import RefactoringType, present_types
 from .errors import EmptyFeatures, InsufficientClass, SingleClass
 from .features import Vocabulary
 from .logreg import LogisticOvA
@@ -123,7 +123,7 @@ def train(config: ModelConfig, X, labels, vocab: Vocabulary) -> TrainedModel:
     two classes with two samples each and at least one nonempty row."""
     labels = list(labels)
     have = Counter(labels)
-    class_order = tuple(t for t in ALL_TYPES if t in have)
+    class_order = present_types(have)
     if len(class_order) < 2:
         raise SingleClass("training needs at least two classes")
     for cls in class_order:

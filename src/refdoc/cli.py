@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on usage errors (synopsis goes to stderr),
-2 on data or model errors. The default model path for predict/serve comes
-from the REFDOC_MODEL environment variable.
+2 on data, model or operating-system errors. The default model path for
+predict/serve comes from the REFDOC_MODEL environment variable.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except RefdocError as exc:
         print(f"refdoc: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"refdoc: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

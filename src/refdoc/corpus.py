@@ -42,6 +42,13 @@ ALL_TYPES = tuple(sorted(RefactoringType, key=lambda t: t.value))
 #: The six method-level refactoring types, i.e. everything except None.
 METHOD_TYPES = tuple(t for t in ALL_TYPES if t is not RefactoringType.NONE)
 
+
+def present_types(labels) -> tuple:
+    """The types among labels, once each, in canonical (alphabetical) order."""
+    present = set(labels)
+    return tuple(t for t in ALL_TYPES if t in present)
+
+
 _BY_NAME = {t.value: t for t in RefactoringType}
 
 
@@ -92,7 +99,7 @@ class Dataset:
 
     def classes(self):
         """Classes present, in canonical (alphabetical) order."""
-        return tuple(t for t in ALL_TYPES if t in self.class_counts)
+        return present_types(self.class_counts)
 
     def fingerprint(self) -> str:
         """SHA-256 over the ordered record contents, for model metadata."""
@@ -131,6 +138,8 @@ def _load_jsonl(path: Path):
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
+            except RecursionError:
+                raise ParseError("JSON nested too deeply", line=lineno) from None
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", line=lineno)
             records.append(_record_from_fields(

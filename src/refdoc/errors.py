@@ -34,6 +34,9 @@ class InsufficientClass(RefdocError):
             f"class {label}: {available} available, {requested} requested"
         )
 
+    def __reduce__(self):  # so a worker's error crosses a pickle intact
+        return type(self), (self.label, self.available, self.requested)
+
 
 class EmptyCorpus(RefdocError):
     """No usable documents were supplied."""

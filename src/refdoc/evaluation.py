@@ -19,15 +19,9 @@ import numpy as np
 
 from . import pipeline
 from .baseline import keyword_predict
-from .corpus import ALL_TYPES, PRNG_NAME, Dataset, RefactoringType
+from .corpus import (ALL_TYPES, PRNG_NAME, Dataset, RefactoringType,
+                     present_types)
 from .errors import InsufficientClass, UnknownLabel
-
-
-def f_measure(precision: float, recall: float) -> float:
-    """Harmonic F from precision and recall; 0 when both are 0."""
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * (precision * recall) / (precision + recall)
 
 
 @dataclass(frozen=True)
@@ -162,16 +156,13 @@ def baseline_report(dataset: Dataset) -> EvalReport:
     synthetic column does not dilute it.
     """
     pairs = []
-    used = set()
     for rec in dataset:
         if rec.label is None:
             continue
         label, _ = keyword_predict(rec.message)
         pred = label if label is not None else RefactoringType.NONE
         pairs.append((rec.label, pred))
-        used.add(rec.label)
-        used.add(pred)
-    classes = tuple(t for t in ALL_TYPES if t in used)
+    classes = present_types(t for pair in pairs for t in pair)
     return report_from_pairs(pairs, classes,
                              {"algorithm": "keyword-baseline"},
                              folds=0, seed=0)

@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
+from .corpus import present_types
 from .errors import EmptyCorpus, SingleClass
 
 Ngram = Tuple[str, ...]
@@ -96,7 +97,7 @@ def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
         raise EmptyCorpus("no documents")
     if n_docs != len(labels):
         raise ValueError("docs and labels length mismatch")
-    classes = sorted(set(labels), key=lambda t: t.value)
+    classes = present_types(labels)
     if len(classes) < 2:
         raise SingleClass("need at least two distinct labels")
 

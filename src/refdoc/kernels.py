@@ -17,7 +17,7 @@ node and counts classes per (candidate, class) bin with bincount.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import sys
 
 import numpy as np
 
@@ -240,14 +240,6 @@ def rf_partition(indptr, rows, vals, node_of, node, feature, threshold,
     return counts.astype(np.int64)
 
 
-_KERNELS = SimpleNamespace(
-    gbt_best_split=gbt_best_split,
-    gbt_partition=gbt_partition,
-    rf_best_candidate=rf_best_candidate,
-    rf_partition=rf_partition,
-)
-
-
-def get_kernels() -> SimpleNamespace:
-    """The kernel namespace; the tree code looks its members up per call."""
-    return _KERNELS
+def get_kernels():
+    """This module; the tree code looks its kernels up here per call."""
+    return sys.modules[__name__]

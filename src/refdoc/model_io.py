@@ -95,6 +95,9 @@ def load_model(path) -> TrainedModel:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"not a model file: {exc.msg}") from None
+        except RecursionError:
+            raise ModelFormatError("not a model file: nested too deeply") \
+                from None
     if not isinstance(payload, dict):
         raise ModelFormatError("not a model file: expected a JSON object")
     version = payload.get("format_version")

@@ -171,12 +171,8 @@ class PredictServer:
         self.socket.close()
 
 
-def make_server(model, port: int, host: str = "127.0.0.1") -> PredictServer:
-    return PredictServer(model, port, host)
-
-
 def serve(model, port: int, host: str = "127.0.0.1") -> None:
-    server = make_server(model, port, host)
+    server = PredictServer(model, port, host)
     try:
         server.serve_forever()
     finally:

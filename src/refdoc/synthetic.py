@@ -9,12 +9,10 @@ maintenance templates that avoid the six keyword stems entirely.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .corpus import CommitRecord, Dataset, METHOD_TYPES, RefactoringType
-from .terms import load_catalog
+from .terms import _ANY, _parse_pattern, load_catalog
 
 NOISE_FRACTION = 0.3
 
@@ -119,24 +117,17 @@ NONE_TEMPLATES = [
     "tighten [] timeout handling in tests",
 ]
 
-_PIECE_RE = re.compile(r"[^a-z0-9*]+")
-
-
 def _instantiate_pattern(pattern: str, rng) -> list:
     words = []
-    for raw in pattern.split():
-        if raw == "[]":
-            words.append(FILLERS[rng.integers(0, len(FILLERS))])
+    for token in _parse_pattern(pattern):
+        if token is _ANY:
+            choices = FILLERS
+        elif token[0] == "prefix":
+            choices = STEM_FORMS[token[1]]
+        else:
+            words.append(token[1])
             continue
-        for piece in _PIECE_RE.split(raw.lower()):
-            if not piece:
-                continue
-            if piece.endswith("*"):
-                stem = piece.rstrip("*")
-                forms = STEM_FORMS[stem]
-                words.append(forms[rng.integers(0, len(forms))])
-            else:
-                words.append(piece)
+        words.append(choices[rng.integers(0, len(choices))])
     return words
 
 

@@ -139,14 +139,13 @@ def lemmatize(token: str) -> str:
     return token
 
 
-def preprocess(message: str, stops: frozenset = None) -> list:
+def preprocess(message: str) -> list:
     """Run the full cleaning pipeline on one raw commit message.
 
     Returns lowercase lemma tokens with digits, short tokens, and stop words
     removed. A message that reduces to nothing yields an empty list.
     """
-    if stops is None:
-        stops = load_stopwords()
+    stops = load_stopwords()
     text = strip_urls_and_emails(message)
     text = expand_contractions(text.lower())
     out = []

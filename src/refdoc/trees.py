@@ -146,14 +146,13 @@ def fit_regression_tree(csc, g, h, max_leaves, min_leaf):
     n_rows = g[0].size
     trees = [Tree() for _ in g]
     node_of = [np.zeros(n_rows, dtype=np.int64) for _ in g]
-    leaves = [{} for _ in g]  # per class: partition id -> _Leaf
-    next_pid = [1] * len(g)
+    leaves = [[] for _ in g]  # per class: the _Leaf of partition id i at i
     all_entries = np.arange(rows.size)
     new = []  # (class, leaf) still to score
     for c in range(len(g)):
         sg, sh = float(np.sum(g[c])), float(np.sum(h[c]))
         root = trees[c].add_leaf(_leaf_value(sg, sh))
-        leaves[c][0] = _Leaf(root, all_entries, n_rows, sg, sh)
+        leaves[c].append(_Leaf(root, all_entries, n_rows, sg, sh))
         new.append((c, leaves[c][0]))
 
     while new:
@@ -172,38 +171,28 @@ def fit_regression_tree(csc, g, h, max_leaves, min_leaf):
         for c, class_leaves in enumerate(leaves):
             if len(class_leaves) >= max_leaves:
                 continue
-            best_pid = -1
-            best_gain = 0.0
-            for pid in sorted(class_leaves):
-                if class_leaves[pid].gain > best_gain:
-                    best_gain = class_leaves[pid].gain
-                    best_pid = pid
-            if best_pid < 0:
-                continue
+            # the first leaf of the largest gain, if that gain is positive
+            best_pid = max(range(len(class_leaves)),
+                           key=lambda pid: class_leaves[pid].gain)
             leaf = class_leaves[best_pid]
-            right_pid = next_pid[c]
-            next_pid[c] += 1
+            if not leaf.gain > 0.0:
+                continue
             left_entries, right_entries, rn, rg, rh = kernels.gbt_partition(
                 indptr, rows, vals, node_of[c], leaf.entries, leaf.feature,
-                leaf.threshold, right_pid, g[c], h[c])
+                leaf.threshold, len(class_leaves), g[c], h[c])
             ln, lg, lh = leaf.count - rn, leaf.sum_g - rg, leaf.sum_h - rh
             left_node = trees[c].add_leaf(_leaf_value(lg, lh))
             right_node = trees[c].add_leaf(_leaf_value(rg, rh))
             trees[c].make_split(leaf.node, leaf.feature, leaf.threshold,
                                 left_node, right_node)
             class_leaves[best_pid] = _Leaf(left_node, left_entries, ln, lg, lh)
-            class_leaves[right_pid] = _Leaf(right_node, right_entries,
-                                            rn, rg, rh)
+            class_leaves.append(_Leaf(right_node, right_entries, rn, rg, rh))
             if len(class_leaves) < max_leaves:  # else they never split
-                new += [(c, class_leaves[best_pid]),
-                        (c, class_leaves[right_pid])]
+                new += [(c, class_leaves[best_pid]), (c, class_leaves[-1])]
 
-    preds = []
-    for c, class_leaves in enumerate(leaves):
-        leaf_value = np.zeros(next_pid[c], dtype=np.float64)
-        for pid, leaf in class_leaves.items():
-            leaf_value[pid] = trees[c].value[leaf.node]
-        preds.append(leaf_value[node_of[c]])
+    preds = [np.array([trees[c].value[leaf.node] for leaf in class_leaves],
+                      dtype=np.float64)[node_of[c]]
+             for c, class_leaves in enumerate(leaves)]
     return trees, preds
 
 

@@ -1,15 +1,26 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from refdoc import service
 from refdoc.cli import main
 from refdoc.corpus import save_corpus
 from refdoc.model_io import save_model
 from refdoc.synthetic import generate_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env():
+    """The environment with src/ first on PYTHONPATH, for a child python."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +55,55 @@ def test_unknown_subcommand_exits_1(capsys):
 
 def test_missing_corpus_is_a_data_error(capsys, tmp_path):
     assert main(["ingest", str(tmp_path / "nope.jsonl")]) == 2
+
+
+def deeply_nested(path):
+    """A JSON file of one array nested 200,000 deep, as a string path."""
+    path.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    return str(path)
+
+
+# case -> (argv from the case's paths, expected text in stderr)
+HOSTILE = {
+    "serve-port-out-of-range": (lambda p: [
+        "serve", "--model", p["model"], "--port", "99999"], "port"),
+    "serve-port-in-use": (lambda p: [
+        "serve", "--model", p["model"], "--host", "127.0.0.1",
+        "--port", p["busy_port"]], "in use"),
+    "train-out-is-a-directory": (lambda p: [
+        "train", p["corpus"], "--algo", "nb", "--out", p["dir"]],
+        "Is a directory"),
+    "ingest-a-directory": (lambda p: ["ingest", p["dir"]], "Is a directory"),
+    "predict-model-is-a-directory": (lambda p: [
+        "predict", "renamed the method", "--model", p["dir"]],
+        "Is a directory"),
+    "predict-deeply-nested-model": (lambda p: [
+        "predict", "renamed the method", "--model",
+        deeply_nested(p["tmp"] / "deep.json")], "nested too deeply"),
+    "ingest-deeply-nested-line": (lambda p: [
+        "ingest", deeply_nested(p["tmp"] / "deep.jsonl")],
+        "line 1: JSON nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE))
+def test_hostile_file_or_argument_exits_2(case, corpus_path, model_path,
+                                          tmp_path, monkeypatch, capsys):
+    def serve_forever(self):
+        raise AssertionError("the server bound its port")  # not a hang
+
+    monkeypatch.setattr(service.PredictServer, "serve_forever", serve_forever)
+    argv, expected = HOSTILE[case]
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        paths = {"model": str(model_path), "corpus": str(corpus_path),
+                 "dir": str(tmp_path), "tmp": tmp_path,
+                 "busy_port": str(busy.getsockname()[1])}
+        assert main(argv(paths)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("refdoc: ")
+    assert expected in err and "Traceback" not in err
 
 
 def test_malformed_corpus_is_a_data_error(capsys, tmp_path):
@@ -261,12 +321,10 @@ def test_predict_with_nan_learning_rate_exits_2(gbt_model, tmp_path, capsys):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize stays resident once imported, which the benchmark's
     # peak-memory bound on `refdoc train` does not allow for
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, refdoc.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -275,14 +333,12 @@ def test_cli_import_leaves_process_pools_unloaded():
     # training forks its workers with os.fork; a pool module would add to
     # the import time and memory of every command. (asyncio, which the
     # service needs, loads the base of concurrent.futures but no executor.)
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, refdoc.cli; print(sorted(m for m in sys.modules if "
          "m.split('.')[0] == 'multiprocessing' or m in "
          "('concurrent.futures.process', 'concurrent.futures.thread')))"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -297,29 +353,31 @@ def test_predict_with_self_looping_tree_exits_2(gbt_model, tmp_path):
     # a self-looping tree makes prediction spin; the timeout fails that
     proc = subprocess.run(
         [sys.executable, "-m", "refdoc", "predict", "renamed the method",
-         "--model", str(path)], capture_output=True, text=True, timeout=30)
+         "--model", str(path)], capture_output=True, text=True, timeout=30,
+        env=src_env())
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "refdoc", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert "usage" in proc.stdout
 
 
 def test_module_entry_point_unknown_flag_exit_code():
     proc = subprocess.run([sys.executable, "-m", "refdoc", "--nope"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 1
     assert proc.stdout == ""
+    assert "usage" in proc.stderr
 
 
 def test_module_entry_point_predict(model_path):
     proc = subprocess.run(
         [sys.executable, "-m", "refdoc", "predict",
          "Renamed getter for readability", "--model", str(model_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "RenameMethod"

@@ -14,7 +14,6 @@ from refdoc.evaluation import (
     baseline_report,
     confusion_matrix,
     cross_validate,
-    f_measure,
     fit_fold,
     macro_metrics,
     per_class_metrics,
@@ -62,15 +61,6 @@ def test_precision_from_counts():
                         counts=np.array([[3, 0], [1, 0]], dtype=np.int64))
     metrics = per_class_metrics(m)[RT.EXTRACT_METHOD]
     assert metrics.precision == 0.75
-
-
-def test_f_measure_harmonic_fixed_point():
-    assert f_measure(0.5, 0.5) == 0.5
-
-
-def test_f_measure_from_published_rename_row():
-    # P=0.91, R=0.94 as printed give F = 0.9247..., not the rounded 0.93
-    assert f_measure(0.91, 0.94) == pytest.approx(0.9247567567567568, abs=1e-12)
 
 
 def test_zero_over_zero_metrics_are_zero():

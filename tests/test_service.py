@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 
 from refdoc import service
 from refdoc.model_io import save_model
-from refdoc.service import make_server
+from refdoc.service import PredictServer
 
 
 @contextlib.contextmanager
 def serving(model):
     """A server on an OS-assigned free port, served from a thread."""
-    srv = make_server(model, port=0)
+    srv = PredictServer(model, port=0, host="127.0.0.1")
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:

@@ -3,7 +3,7 @@ from importlib import resources
 from refdoc.baseline import load_rules
 from refdoc.corpus import METHOD_TYPES, RefactoringType, load_corpus, save_corpus
 from refdoc.synthetic import NONE_TEMPLATES, STEM_FORMS, generate_corpus
-from refdoc.terms import load_catalog, match_patterns
+from refdoc.terms import _ANY, _parse_pattern, load_catalog, match_patterns
 
 
 def test_generator_is_deterministic():
@@ -41,14 +41,24 @@ def test_bundled_corpus_loads_with_expected_shape():
 
 
 def test_stem_forms_cover_every_catalog_wildcard():
-    import re
     catalog = load_catalog()
     for patterns in catalog.patterns.values():
         for pattern in patterns:
-            for raw in pattern.split():
-                for piece in re.split(r"[^a-z0-9*]+", raw.lower()):
-                    if piece.endswith("*"):
-                        assert piece.rstrip("*") in STEM_FORMS, pattern
+            for token in _parse_pattern(pattern):
+                if token is not _ANY and token[0] == "prefix":
+                    assert token[1] in STEM_FORMS, pattern
+
+
+def test_cv_corpus_fingerprint_is_pinned():
+    corpus = generate_corpus(seed=1, per_class=834)
+    assert corpus.fingerprint() == (
+        "cf610c70c94010786a431ff67261bb2ec3f7904e44743b18612e5f7420d611f2")
+
+
+def test_corpus_with_none_class_fingerprint_is_pinned():
+    corpus = generate_corpus(seed=2, per_class=60, include_none=True)
+    assert corpus.fingerprint() == (
+        "9091739e05061b5bc297ba4c053de4ea21529137384ff3d6ad43511e85edbc4d")
 
 
 def test_messages_carry_a_matching_catalog_pattern():

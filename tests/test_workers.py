@@ -1,6 +1,7 @@
 """workers.map_parts: part order, child errors, dead children, cleanup."""
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import pytest
 from refdoc import workers
 from refdoc.cli import main
 from refdoc.corpus import save_corpus
-from refdoc.errors import InsufficientClass, NonFinite, RefdocError
+from refdoc.errors import (InsufficientClass, NonFinite, ParseError,
+                           RefdocError)
 from refdoc.synthetic import generate_corpus
 from refdoc.trees import BoostedClassifier
 
@@ -74,17 +76,50 @@ def test_child_error_is_raised_as_its_own_type(monkeypatch, forked_pids):
     assert_reaped(forked_pids)
 
 
+class Unrebuildable(Exception):
+    """Its pickle holds only the message, which __init__ cannot take alone."""
+
+    def __init__(self, name, count):
+        super().__init__(f"{name}: {count} left")
+
+
 def test_child_error_that_cannot_be_rebuilt_is_a_refdoc_error(monkeypatch):
     use_cpus(monkeypatch, 2)
     caller = os.getpid()
 
     def fn(chunk):
         if os.getpid() != caller:
-            raise InsufficientClass("Rename", 1, 2)  # its pickle cannot rebuild it
+            raise Unrebuildable("Rename", 1)
         return chunk
 
-    with pytest.raises(RefdocError, match="Rename: 1 available"):
+    with pytest.raises(RefdocError, match="worker failed: Unrebuildable"):
         workers.map_parts(fn, [0, 1])
+
+
+def test_child_insufficient_class_keeps_its_type_and_fields(monkeypatch,
+                                                            forked_pids):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def fn(chunk):
+        if os.getpid() != caller:
+            raise InsufficientClass("RenameMethod", 1, 2)
+        return chunk
+
+    with pytest.raises(InsufficientClass) as info:
+        workers.map_parts(fn, [0, 1])
+    err = info.value
+    assert (err.label, err.available, err.requested) == ("RenameMethod", 1, 2)
+    assert str(err) == "class RenameMethod: 1 available, 2 requested"
+    assert len(forked_pids) == 1
+    assert_reaped(forked_pids)
+
+
+def test_pickled_parse_error_keeps_its_line():
+    err = pickle.loads(pickle.dumps(ParseError("invalid JSON", line=7)))
+    assert type(err) is ParseError
+    assert err.line == 7
+    assert str(err) == "line 7: invalid JSON"
 
 
 def test_train_exits_2_when_a_worker_diverges(monkeypatch, tmp_path, capsys,
