@@ -129,7 +129,7 @@ def train(config: ModelConfig, X, labels, vocab: Vocabulary) -> TrainedModel:
     for cls in class_order:
         if have[cls] < 2:
             raise InsufficientClass(cls.value, have[cls], 2)
-    if not X.nnz:
+    if not X.indptr[-1]:
         raise EmptyFeatures("every document vectorized to nothing")
 
     class_idx = {c: i for i, c in enumerate(class_order)}

@@ -218,8 +218,13 @@ def _cmd_inconsistency(args):
 
 def _cmd_serve(args):
     model = model_io.load_model(_model_path(args.model))
-    print(f"serving on {args.host}:{args.port}", file=sys.stderr)
-    service.serve(model, args.port, args.host)
+    server = service.PredictServer(model, args.port, args.host)
+    try:
+        host, port = server.server_address
+        print(f"serving on {host}:{port}", file=sys.stderr)
+        server.serve_forever()
+    finally:
+        server.server_close()
     return 0
 
 

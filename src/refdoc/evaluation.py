@@ -22,6 +22,7 @@ from .baseline import keyword_predict
 from .corpus import (ALL_TYPES, PRNG_NAME, Dataset, RefactoringType,
                      present_types)
 from .errors import InsufficientClass, UnknownLabel
+from .features import select_rows
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,8 @@ def fit_fold(dataset: Dataset, train_idx, config, matrix):
     (ngrams, counts) count matrix of every row from pipeline.count_matrix."""
     ngrams, counts = matrix
     labels = [dataset.records[i].label for i in train_idx]
-    return pipeline.fit_counts(counts[train_idx], ngrams, labels, config)
+    return pipeline.fit_counts(select_rows(counts, train_idx), ngrams,
+                               labels, config)
 
 
 def cross_validate(dataset: Dataset, config, folds: int = 10,

@@ -1,13 +1,17 @@
 """N-gram vocabulary, TF-IDF weighting, Fisher ranking, vectorization.
 
 Features take one form from counting to the estimator, a docs x columns
-CSR matrix: vectors_to_csr counts, build_vocabulary ranks the n-grams of
-a count matrix, and vectorize weighs its selected columns, column p
-holding feature selected[p]. Weighting is pinned for bit-reproducibility:
-TF is the raw in-document count, IDF is ln((1+N)/(1+df)) + 1, and rows
-are L2-normalized. Fisher scores are computed over the unnormalized
-count*idf values as axis-0 sums of C-ordered blocks, which numpy takes
-row by row in dataset order: bit-equal to a row-by-row loop.
+CSR matrix: three numpy arrays and a shape, with each row's columns in
+ascending order. vectors_to_csr counts, build_vocabulary ranks the n-grams
+of a count matrix, and vectorize weighs its selected columns, column p
+holding feature selected[p]. The few matrix operations refdoc needs are
+functions here that read only indptr, indices, data and shape, so any CSR
+matrix with those fields is a valid input. Weighting is pinned for
+bit-reproducibility: TF is the raw in-document count, IDF is
+ln((1+N)/(1+df)) + 1, and rows are L2-normalized. Fisher scores are
+computed over the unnormalized count*idf values as axis-0 sums of
+C-ordered blocks, which numpy takes row by row in dataset order:
+bit-equal to a row-by-row loop.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import present_types
 from .errors import EmptyCorpus, SingleClass
@@ -26,6 +29,64 @@ Ngram = Tuple[str, ...]
 
 FISHER_EPS = 1e-12
 _BLOCK = 256
+
+
+@dataclass(frozen=True)
+class CSR:
+    """A rows x columns matrix: row i holds the values
+    data[indptr[i]:indptr[i + 1]] at the columns indices[same range]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+
+
+def row_ids(X) -> np.ndarray:
+    """The int64 row id of each entry of X, in storage order."""
+    return np.repeat(np.arange(X.shape[0], dtype=np.int64), np.diff(X.indptr))
+
+
+def _sort_rows(X) -> CSR:
+    """X with each row's entries in ascending column order; a row's
+    columns must be distinct."""
+    order = np.argsort(row_ids(X) * X.shape[1] + X.indices)
+    return CSR(X.indptr, X.indices[order], X.data[order], X.shape)
+
+
+def select_rows(X, rows) -> CSR:
+    """The rows of X at the positions rows, in that order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = X.indptr[rows]
+    lengths = X.indptr[rows + 1] - starts
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return CSR(indptr, X.indices[take], X.data[take], (len(rows), X.shape[1]))
+
+
+def select_columns(X, columns) -> CSR:
+    """The distinct columns of X at the positions columns, column p of the
+    result holding X's column columns[p]; each row's columns ascend."""
+    position = np.full(X.shape[1], -1, dtype=np.intp)
+    position[columns] = np.arange(len(columns))
+    cols = position[X.indices]
+    kept = cols >= 0
+    before = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(kept, out=before[1:])
+    return _sort_rows(CSR(before[X.indptr], cols[kept], X.data[kept],
+                          (X.shape[0], len(columns))))
+
+
+def column_view(X):
+    """(indptr, rows, cols, vals): the entries of X sorted by column, and
+    by row within a column; column j's are indptr[j]:indptr[j + 1]."""
+    n_rows, n_cols = X.shape
+    rows = row_ids(X)
+    order = np.argsort(X.indices * np.int64(n_rows) + rows)
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(X.indices, minlength=n_cols), out=indptr[1:])
+    return indptr, rows[order], X.indices[order], X.data[order]
 
 
 def extract_ngrams(tokens: Sequence[str], n_max: int) -> List[Ngram]:
@@ -83,7 +144,7 @@ class Vocabulary:
         return len(self.selected)
 
 
-def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
+def fisher_scores(counts, labels, idf) -> np.ndarray:
     """Fisher score of every column of a docs x n-grams count matrix.
 
     Scores are taken over the count*idf values:
@@ -101,14 +162,17 @@ def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
     if len(classes) < 2:
         raise SingleClass("need at least two distinct labels")
 
-    tfidf = counts.multiply(idf[np.newaxis, :]).tocsc()
+    col_ptr, doc_of, col_of, vals = column_view(counts)
+    vals = vals * idf[col_of]
     class_rows = [np.array([i for i, lab in enumerate(labels) if lab == c])
                   for c in classes]
 
     scores = np.empty(n_feat, dtype=np.float64)
     for start in range(0, n_feat, _BLOCK):
         stop = min(start + _BLOCK, n_feat)
-        block = tfidf[:, start:stop].toarray(order="C")
+        a, b = col_ptr[start], col_ptr[stop]
+        block = np.zeros((n_docs, stop - start))
+        block[doc_of[a:b], col_of[a:b] - start] = vals[a:b]
         mu_all = block.sum(axis=0) / n_docs
         num, den = np.zeros((2, stop - start))
         for rows in class_rows:
@@ -124,7 +188,7 @@ def fisher_scores(counts: sparse.csr_matrix, labels, idf) -> np.ndarray:
     return scores
 
 
-def vectors_to_csr(doc_counts, index) -> sparse.csr_matrix:
+def vectors_to_csr(doc_counts, index) -> CSR:
     """Count matrix of n-gram count dicts over index (n-gram -> column).
 
     N-grams missing from index are dropped; each row's columns ascend.
@@ -136,13 +200,10 @@ def vectors_to_csr(doc_counts, index) -> sparse.csr_matrix:
                 indices.append(index[gram])
                 data.append(count)
         indptr.append(len(indices))
-    # int32 arrays, as scipy would pick, skip its costly index-dtype check
-    X = sparse.csr_matrix((np.array(data, dtype=np.float64),
-                           np.array(indices, dtype=np.int32),
-                           np.array(indptr, dtype=np.int32)),
-                          shape=(len(indptr) - 1, len(index)))
-    X.sort_indices()
-    return X
+    return _sort_rows(CSR(np.array(indptr, dtype=np.int64),
+                          np.array(indices, dtype=np.intp),
+                          np.array(data, dtype=np.float64),
+                          (len(indptr) - 1, len(index))))
 
 
 def build_vocabulary(counts, ngrams, labels, n_max, k_select) -> Vocabulary:
@@ -164,7 +225,7 @@ def build_vocabulary(counts, ngrams, labels, n_max, k_select) -> Vocabulary:
     keep = np.flatnonzero(np.bincount(counts.indices, minlength=len(ngrams)))
     if not keep.size:
         raise EmptyCorpus("every document is empty after preprocessing")
-    counts = counts[:, keep]
+    counts = select_columns(counts, keep)
     doc_freq = np.bincount(counts.indices, minlength=keep.size)
     idf = np.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
     fisher = fisher_scores(counts, labels, idf)
@@ -177,13 +238,14 @@ def build_vocabulary(counts, ngrams, labels, n_max, k_select) -> Vocabulary:
     )
 
 
-def vectorize(counts, vocab: Vocabulary) -> sparse.csr_matrix:
+def vectorize(counts, vocab: Vocabulary):
     """Weigh a count matrix over the selected columns into TF-IDF rows, in
     place, and return it.
 
     weight = count * idf at each entry, then each row is divided by the
-    square root of its exactly rounded sum of squares (math.fsum), and its
-    columns ascend. An all-zero row stays empty. In place, because a
+    square root of its exactly rounded sum of squares (math.fsum). The
+    columns keep their order, ascending from vectors_to_csr and
+    select_columns. An all-zero row stays empty. In place, because a
     second matrix would cost a one-row call more than the weighing.
     """
     data = counts.data
@@ -192,6 +254,5 @@ def vectorize(counts, vocab: Vocabulary) -> sparse.csr_matrix:
     bounds = counts.indptr.tolist()
     norms = np.array([math.sqrt(math.fsum(squares[a:b]))
                       for a, b in zip(bounds, bounds[1:])])
-    data /= norms.repeat(counts.indptr[1:] - counts.indptr[:-1])
-    counts.sort_indices()
+    data /= norms.repeat(np.diff(counts.indptr))
     return counts

@@ -21,19 +21,16 @@ import sys
 
 import numpy as np
 
+from .features import column_view
+
 
 def build_sorted_csc(X_csr):
     """(indptr, rows, vals, col_of) with entries sorted by (col, val, row)."""
-    coo = X_csr.tocoo()
-    order = np.lexsort((coo.row, coo.data, coo.col))
-    cols = coo.col[order].astype(np.int64)
-    rows = coo.row[order].astype(np.int64)
-    vals = coo.data[order].astype(np.float64)
-    n_cols = X_csr.shape[1]
-    counts = np.bincount(cols, minlength=n_cols)
-    indptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, rows, vals, cols
+    indptr, rows, cols, vals = column_view(X_csr)
+    # lexsort is stable, so rows still ascend among equal values
+    order = np.lexsort((vals, cols))
+    return (indptr, rows[order], vals[order].astype(np.float64, copy=False),
+            cols[order].astype(np.int64, copy=False))
 
 
 def gbt_best_split(rows, vals, col_of, entries, cls, count, sum_g, sum_h,

@@ -7,67 +7,81 @@ infinity-norm falls below the optimization tolerance. The gradient lives in
 its own function so it can be checked against finite differences.
 
 The fit computes the margins X @ w + b once per line-search trial: the
-loss and the next gradient both take the accepted trial's margins, and
-X.T is built as a CSR matrix once per binary problem. The binary problems
-are independent and are fitted in worker processes (workers.map_parts).
+loss and the next gradient both take the accepted trial's margins. Both
+products with X are bincounts over X's entries, whose row and column ids
+are taken once per binary problem: X @ w adds each row's terms, and
+X.T @ r each column's, in storage order from 0.0. The binary problems are
+independent and are fitted in worker processes (workers.map_parts).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .features import row_ids
 from .workers import map_parts
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _margins(weights, bias, X):
-    return X @ weights + bias
+def _entries(X):
+    """(row ids, column ids, values, shape) of X's entries: int64 row ids
+    and intp column ids, ready for bincount and take."""
+    return row_ids(X), np.asarray(X.indices, dtype=np.intp), X.data, X.shape
+
+
+def _margins(weights, bias, entries):
+    """X @ weights + bias, for entries = _entries(X)."""
+    rows, cols, vals, (n, _) = entries
+    return np.bincount(rows, weights=vals * weights.take(cols),
+                       minlength=n) + bias
+
+
+def _feature_sums(r, entries):
+    """X.T @ r, for entries = _entries(X)."""
+    rows, cols, vals, (_, n_features) = entries
+    return np.bincount(cols, weights=vals * r.take(rows),
+                       minlength=n_features)
 
 
 def logreg_loss(weights, bias, X, y, l2_weight, margins=None):
     """Regularized negative log-likelihood (sum over the batch); margins,
-    when given, must be _margins(weights, bias, X)."""
-    z = _margins(weights, bias, X) if margins is None else margins
+    when given, must be X @ weights + bias."""
+    z = _margins(weights, bias, _entries(X)) if margins is None else margins
     nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
     return nll + 0.5 * float(l2_weight) * float(weights @ weights)
 
 
-def logreg_gradient(weights, bias, X, y, l2_weight, margins=None, XT=None):
+def logreg_gradient(weights, bias, X, y, l2_weight, margins=None,
+                    entries=None):
     """Analytic gradient of logreg_loss: (d/dw, d/db).
 
     The L2 term contributes exactly l2_weight * weights to the weight
     gradient and nothing to the bias gradient. margins is as for
-    logreg_loss. XT, when given, is X.T converted to CSR: its product with
-    r sums each feature's terms in row order, as X.T @ r does, so the
-    bits agree.
+    logreg_loss; entries, when given, must be _entries(X).
     """
-    z = _margins(weights, bias, X) if margins is None else margins
+    entries = _entries(X) if entries is None else entries
+    z = _margins(weights, bias, entries) if margins is None else margins
     r = _sigmoid(z) - y
-    grad_w = (X.T if XT is None else XT) @ r + l2_weight * weights
-    grad_b = float(np.sum(r))
-    return np.asarray(grad_w).ravel(), grad_b
+    grad_w = _feature_sums(r, entries) + l2_weight * weights
+    return grad_w, float(np.sum(r))
 
 
 def fit_binary(X, y, *, l2_weight, tol, max_iter):
     """Gradient descent with backtracking line search on one binary problem."""
-    n_features = X.shape[1]
-    XT = X.T.tocsr()
-    w = np.zeros(n_features, dtype=np.float64)
+    entries = _entries(X)
+    w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     step = 1.0
-    z = _margins(w, b, X)
+    z = _margins(w, b, entries)
     loss = logreg_loss(w, b, X, y, l2_weight, margins=z)
     for _ in range(max_iter):
         grad_w, grad_b = logreg_gradient(w, b, X, y, l2_weight,
-                                         margins=z, XT=XT)
+                                         margins=z, entries=entries)
         gnorm = max(float(np.max(np.abs(grad_w))) if grad_w.size else 0.0,
                     abs(grad_b))
         if gnorm <= tol:
@@ -78,7 +92,7 @@ def fit_binary(X, y, *, l2_weight, tol, max_iter):
         for _ in range(60):
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            z_new = _margins(w_new, b_new, X)
+            z_new = _margins(w_new, b_new, entries)
             loss_new = logreg_loss(w_new, b_new, X, y, l2_weight,
                                    margins=z_new)
             if loss_new <= loss - 1e-4 * step * sq:

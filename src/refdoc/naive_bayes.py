@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .features import row_ids
+
 
 class NaiveBayes:
     def __init__(self, *, alpha):
@@ -19,13 +21,12 @@ class NaiveBayes:
 
     def fit(self, X_csr, y_idx, n_classes):
         n, n_features = X_csr.shape
-        mass = np.zeros((n_classes, n_features), dtype=np.float64)
-        counts = np.zeros(n_classes, dtype=np.float64)
-        for c in range(n_classes):
-            rows = np.flatnonzero(y_idx == c)
-            counts[c] = rows.size
-            if rows.size:
-                mass[c] = np.asarray(X_csr[rows].sum(axis=0)).ravel()
+        # each (class, feature) bin adds its entries in row order from 0.0
+        bins = y_idx[row_ids(X_csr)] * n_features + X_csr.indices
+        mass = np.bincount(bins, weights=X_csr.data,
+                           minlength=n_classes * n_features).reshape(
+            n_classes, n_features)
+        counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
         smoothed = mass + self.alpha
         self.log_theta = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
         self.log_prior = np.log(counts / n)

@@ -54,8 +54,8 @@ def fit_counts(counts, ngrams, labels, config: classifiers.ModelConfig):
     vocab = features.build_vocabulary(counts, ngrams, labels, config.n_max,
                                       config.k_select)
     column = {g: j for j, g in enumerate(ngrams)}
-    X = features.vectorize(counts[:, [column[g] for g in vocab.columns]],
-                           vocab)
+    X = features.vectorize(features.select_columns(
+        counts, [column[g] for g in vocab.columns]), vocab)
     return classifiers.train(config, X, labels, vocab)
 
 

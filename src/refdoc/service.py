@@ -119,7 +119,14 @@ class PredictServer:
 
     def __init__(self, model, port: int, host: str):
         self.model = model
-        self.socket = socket.create_server((host, port))
+        self.socket = socket.socket()
+        try:  # a bind to a port out of range raises OverflowError
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind((host, port))
+            self.socket.listen()
+        except BaseException:
+            self.socket.close()
+            raise
         self.server_address = self.socket.getsockname()[:2]
         self._stop = None  # (loop, asyncio.Event) while serving
         self._serving = threading.Event()
@@ -169,11 +176,3 @@ class PredictServer:
 
     def server_close(self) -> None:
         self.socket.close()
-
-
-def serve(model, port: int, host: str = "127.0.0.1") -> None:
-    server = PredictServer(model, port, host)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

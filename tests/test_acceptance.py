@@ -202,7 +202,8 @@ def test_nb_oracle_on_fixed_five_doc_corpus():
     vocab = build_vocabulary(docs, labels, n_max=1, k_select=100)
     X = weighted_rows(docs + [[]], vocab)   # the last row is empty
     vectors = row_dicts(X)[:-1]
-    model = train(ModelConfig(algorithm="nb"), X[:-1], labels, vocab)
+    model = train(ModelConfig(algorithm="nb"),
+                  features.select_rows(X, range(len(docs))), labels, vocab)
 
     n_feat = vocab.n_selected
     worst = 0.0

@@ -276,6 +276,28 @@ def test_logreg_regularizer_contributes_exactly_the_weight_vector():
     assert b1 == b2
 
 
+def reference_sigmoid(z):
+    """The masked logistic function that one exp(-|z|) replaced, verbatim."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_equal_to_the_masked_reference():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([
+        rng.normal(size=2000) * 10.0 ** rng.integers(-8, 4, size=2000),
+        [0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 745.0, -745.0, 800.0,
+         -800.0, np.inf, -np.inf]])
+    got, expected = logreg._sigmoid(z), reference_sigmoid(z)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.isnan(logreg._sigmoid(np.array([np.nan]))).all()
+
+
 def reference_loss(weights, bias, X, y, l2_weight):
     """Regularized negative log-likelihood (sum over the batch)."""
     z = X @ weights + bias
@@ -290,7 +312,7 @@ def reference_gradient(weights, bias, X, y, l2_weight):
     gradient and nothing to the bias gradient.
     """
     z = X @ weights + bias
-    r = logreg._sigmoid(z) - y
+    r = reference_sigmoid(z) - y
     grad_w = X.T @ r + l2_weight * weights
     grad_b = float(np.sum(r))
     return np.asarray(grad_w).ravel(), grad_b

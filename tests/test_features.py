@@ -257,7 +257,8 @@ def test_vectors_to_csr_positions():
     index = {("code",): 0, ("move",): 1}
     X = vectors_to_csr([count_ngrams(d, 1) for d in docs], index)
     assert X.shape == (3, 2)
-    assert X.toarray().tolist() == [[1.0, 2.0], [0.0, 0.0], [1.0, 0.0]]
+    assert [classifiers.dense_row(X, i).tolist() for i in range(3)] == \
+        [[1.0, 2.0], [0.0, 0.0], [1.0, 0.0]]
     assert X.indices.tolist() == [0, 1, 0]   # ascending within each row
 
 
@@ -290,6 +291,8 @@ def reference_fisher_scores(counts, labels, idf):
     classes = sorted(set(labels), key=lambda t: t.value)
     block_width = 4096
 
+    counts = sparse.csr_matrix((counts.data, counts.indices, counts.indptr),
+                               shape=counts.shape)
     tfidf = counts.multiply(idf[np.newaxis, :]).tocsc()
     class_rows = {c: [i for i, lab in enumerate(labels) if lab == c]
                   for c in classes}
@@ -487,8 +490,9 @@ def matrix_fold(doc_counts, labels, train_idx, test_idx, config):
 
     features.vectorize = recording
     try:
-        model = pipeline.fit_counts(counts[train_idx], ngrams,
-                                    [labels[i] for i in train_idx], config)
+        model = pipeline.fit_counts(
+            features.select_rows(counts, train_idx), ngrams,
+            [labels[i] for i in train_idx], config)
         pipeline.predict_counts(model, [doc_counts[i] for i in test_idx])
     finally:
         features.vectorize = original
