@@ -6,7 +6,9 @@ division; all 0/0 cases resolve to 0. Cross-validation counts each
 message's n-grams once into one count matrix, pools one confusion matrix
 over all folds and rebuilds vocabulary and model per fold from the
 training folds' rows only, through pipeline.fit_counts, so training's
-None-class rule holds.
+None-class rule holds. Featurization runs once in the caller; the folds
+are independent and are fitted in worker processes (workers.map_parts),
+each returning its (true, predicted) pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .corpus import (ALL_TYPES, PRNG_NAME, Dataset, RefactoringType,
                      present_types)
 from .errors import InsufficientClass, UnknownLabel
 from .features import select_rows
+from .workers import map_parts
 
 
 @dataclass(frozen=True)
@@ -214,12 +217,15 @@ def cross_validate(dataset: Dataset, config, folds: int = 10,
     doc_counts = [pipeline.featurize(r.message, config.n_max) for r in records]
     matrix = pipeline.count_matrix(doc_counts)
 
-    pairs = []
-    for test_idx in fold_idx:
+    def fold_pairs(test_idx):
         train_idx = np.setdiff1d(np.arange(len(records)), test_idx)
         model = fit_fold(dataset, train_idx, config, matrix)
         predicted = pipeline.predict_counts(
             model, [doc_counts[i] for i in test_idx])
-        pairs.extend((labels[i], label)
-                     for i, (label, _) in zip(test_idx, predicted))
+        return [(labels[i], label)
+                for i, (label, _) in zip(test_idx, predicted)]
+
+    per_fold = map_parts(lambda chunk: [fold_pairs(t) for t in chunk],
+                         fold_idx)
+    pairs = [pair for fold in per_fold for pair in fold]
     return report_from_pairs(pairs, classes, asdict(config), folds, seed)

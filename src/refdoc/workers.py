@@ -6,6 +6,11 @@ result per part. Chunk 0 runs in the caller; every other chunk runs in a
 forked child, which sends its results back as a pickle through a pipe and
 ends with os._exit. Where fork is missing, or other Python threads are
 alive (forking them is unsafe), every chunk runs in the caller.
+
+There is one level of fan-out. While a map_parts call runs, a nested
+map_parts, in the caller's chunk or in a forked child's, runs every chunk
+in its own process, so the folds of a cross-validation fan out and the
+classes or trees fitted inside each fold do not.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import signal
 import threading
 
 from .errors import RefdocError
+
+_fanned_out = False  # set while a map_parts call runs; children inherit it
 
 
 def usable_cpus():
@@ -33,13 +40,16 @@ def map_parts(fn, parts):
     ends without an answer raises RefdocError. On any exception here,
     every child still running is killed and reaped before it propagates.
     """
+    global _fanned_out
     parts = list(parts)
     n = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
+    if (not _fanned_out and hasattr(os, "fork")
+            and threading.active_count() == 1):
         n = max(1, min(len(parts), usable_cpus()))
     bounds = [len(parts) * i // n for i in range(n + 1)]
     chunks = [parts[a:b] for a, b in zip(bounds, bounds[1:])]
     pending = {}  # pid -> read end of its pipe, until the child is reaped
+    outer, _fanned_out = _fanned_out, True
     try:
         for chunk in chunks[1:]:
             pid, fd = _fork(fn, chunk)
@@ -48,6 +58,7 @@ def map_parts(fn, parts):
         for pid in list(pending):
             results += _answer(pid, pending)
     finally:
+        _fanned_out = outer
         for pid, fd in pending.items():
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)

@@ -1,10 +1,11 @@
+import os
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from refdoc import pipeline, textprep
+from refdoc import pipeline, textprep, workers
 from refdoc.classifiers import ModelConfig
 from refdoc.corpus import CommitRecord, Dataset, METHOD_TYPES
 from refdoc.corpus import RefactoringType as RT
@@ -214,10 +215,9 @@ def test_baseline_report_no_match_goes_to_none_column(synthetic_dataset):
     assert report.macro.f_measure == pytest.approx(mean_f, abs=1e-12)
 
 
-@pytest.mark.parametrize("algorithm", ["nb", "gbt"])
-def test_cross_validate_equals_fit_and_predict_per_fold(algorithm):
-    ds = generate_corpus(seed=3, per_class=10)
-    config = ModelConfig(algorithm=algorithm)
+def per_fold_fit_report(ds, config):
+    """The 3-fold CV report (seed 4) from pipeline.fit and
+    pipeline.predict_message on each fold's own Dataset."""
     folds = stratified_folds([r.label for r in ds], 3, seed=4)
     pairs = []
     for test_idx in folds:
@@ -228,16 +228,60 @@ def test_cross_validate_equals_fit_and_predict_per_fold(algorithm):
             rec = ds.records[i]
             label, _ = pipeline.predict_message(model, rec.message)
             pairs.append((rec.label, label))
-    snapshot = {"algorithm": algorithm,
+    snapshot = {"algorithm": config.algorithm,
                 "hyperparameters": config.hyperparameters,
                 "n_max": config.n_max, "k_select": config.k_select,
                 "seed": config.seed, "include_none": config.include_none}
-    expected = report_from_pairs(pairs, ds.classes(), snapshot, 3, 4)
+    return report_from_pairs(pairs, ds.classes(), snapshot, 3, 4)
+
+
+@pytest.mark.parametrize("algorithm", ["nb", "gbt"])
+def test_cross_validate_equals_fit_and_predict_per_fold(algorithm):
+    ds = generate_corpus(seed=3, per_class=10)
+    config = ModelConfig(algorithm=algorithm)
+    expected = per_fold_fit_report(ds, config)
     got = cross_validate(ds, config, folds=3, seed=4)
     assert got.to_json() == expected.to_json()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_gbt_cross_validate_equals_fit_and_predict_per_fold_at_every_worker_count(
+        cpus, monkeypatch, forked_pids):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    ds = generate_corpus(seed=3, per_class=10)
+    config = ModelConfig(algorithm="gbt")
+    expected = per_fold_fit_report(ds, config)
+    forked_pids.clear()
+    got = cross_validate(ds, config, folds=3, seed=4)
+    assert len(forked_pids) == cpus - 1
+    assert got.to_json() == expected.to_json()
+
+
+def test_fold_error_in_a_worker_keeps_its_type(monkeypatch, forked_pids):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    caller = os.getpid()
+    fit_counts = pipeline.fit_counts
+
+    def failing_in_a_child(*args):
+        if os.getpid() != caller:
+            raise InsufficientClass("RenameMethod", 1, 2)
+        return fit_counts(*args)
+
+    monkeypatch.setattr(pipeline, "fit_counts", failing_in_a_child)
+    with pytest.raises(InsufficientClass) as info:
+        cross_validate(small_cv_dataset(), ModelConfig(algorithm="nb"),
+                       folds=3, seed=0)
+    assert (info.value.label, info.value.available,
+            info.value.requested) == ("RenameMethod", 1, 2)
+    assert len(forked_pids) == 1
+    for pid in forked_pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_cross_validate_preprocesses_each_message_once(monkeypatch):
+    # one process, so that the count also sees every fold's work
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     seen = []
     original = textprep.preprocess
 
@@ -252,6 +296,8 @@ def test_cross_validate_preprocesses_each_message_once(monkeypatch):
 
 
 def test_cross_validate_builds_no_dataset_per_fold(monkeypatch):
+    # one process, so that the count also sees every fold's work
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     ds = small_cv_dataset()
     built = []
     original = Dataset.__init__

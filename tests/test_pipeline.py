@@ -1,7 +1,7 @@
 """CV and the inconsistency report share pipeline.fit_counts and
 predict_counts, and each message is counted once."""
 
-from refdoc import evaluation, features, inconsistency, pipeline
+from refdoc import evaluation, features, inconsistency, pipeline, workers
 from refdoc.classifiers import ModelConfig
 from refdoc.textprep import preprocess
 
@@ -20,6 +20,8 @@ def _count_calls(monkeypatch, module, name):
 
 def test_cv_and_inconsistency_go_through_the_pipeline(
         monkeypatch, small_dataset, none_dataset, none_model):
+    # one process, so that the counts also see every fold's work
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     fits = _count_calls(monkeypatch, pipeline, "fit_counts")
     predictions = _count_calls(monkeypatch, pipeline, "predict_counts")
     vocabularies = _count_calls(monkeypatch, features, "build_vocabulary")

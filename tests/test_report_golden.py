@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import refdoc
-from refdoc import inconsistency, pipeline
+from refdoc import inconsistency, pipeline, workers
 from refdoc.classifiers import ModelConfig
 from refdoc.cli import main as cli_main
 from refdoc.synthetic import generate_corpus
@@ -48,6 +48,17 @@ def inconsistency_digest(dataset, model):
 def test_evaluate_json_matches_golden_digest(algo, tmp_path, capsys):
     golden = json.loads(GOLDEN.read_text())
     got = evaluate_digest(algo, tmp_path / f"{algo}.json")
+    assert got == golden[f"evaluate-{algo}"], f"{algo} CV report changed"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("algo", EVALUATED)
+def test_evaluate_json_matches_golden_digest_at_every_worker_count(
+        algo, cpus, tmp_path, capsys, monkeypatch, forked_pids):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    golden = json.loads(GOLDEN.read_text())
+    got = evaluate_digest(algo, tmp_path / f"{algo}.json")
+    assert len(forked_pids) == cpus - 1
     assert got == golden[f"evaluate-{algo}"], f"{algo} CV report changed"
 
 

@@ -61,6 +61,32 @@ def test_every_chunk_runs_in_the_caller_while_another_thread_lives(
     assert forked_pids == []
 
 
+def test_a_nested_map_parts_runs_in_the_process_that_calls_it(
+        monkeypatch, forked_pids):
+    use_cpus(monkeypatch, 3)
+
+    def outer(chunk):
+        forks_before = len(forked_pids)  # a child sees its own copy
+        nested = [workers.map_parts(
+            lambda inner: [os.getpid() for _ in inner], range(4))
+            for _ in range(2)]  # the second sees the flag the first left
+        return [(os.getpid(), nested, len(forked_pids) - forks_before)
+                for _ in chunk]
+
+    got = workers.map_parts(outer, range(3))
+    assert len(forked_pids) == 2
+    assert len({pid for pid, _, _ in got}) == 3
+    for pid, nested, forks in got:
+        assert nested == [[pid] * 4] * 2
+        assert forks == 0
+    assert_reaped(forked_pids)
+    # the flag is cleared once the outer call returns
+    again = workers.map_parts(
+        lambda chunk: [os.getpid() for _ in chunk], range(3))
+    assert len(set(again)) == 3
+    assert len(forked_pids) == 4
+
+
 def test_child_error_is_raised_as_its_own_type(monkeypatch, forked_pids):
     use_cpus(monkeypatch, 2)
     caller = os.getpid()
