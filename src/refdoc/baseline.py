@@ -8,15 +8,12 @@ unless the whole word sits on the stem's exclusion list ("movie",
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Tuple
 
 from .corpus import RefactoringType, parse_label
-
-_WORD_RE = re.compile(r"[a-z0-9]+")
+from .textprep import data_text, raw_words
 
 
 @dataclass(frozen=True)
@@ -29,10 +26,8 @@ class KeywordRule:
 @lru_cache(maxsize=1)
 def load_rules() -> Tuple[KeywordRule, ...]:
     """Bundled rules in priority order (most specific stems first)."""
-    text = resources.files("refdoc.data").joinpath("keyword_rules.tsv") \
-        .read_text("utf-8")
     rules = []
-    for line in text.splitlines():
+    for line in data_text("keyword_rules.tsv").splitlines():
         if not line.strip():
             continue
         stem, target, excl = line.split("\t")
@@ -48,7 +43,7 @@ def keyword_predict(message: str):
     `matches` lists every type whose stem hits, in rule priority order;
     `label` is the first of them, or None when nothing matches.
     """
-    words = _WORD_RE.findall(message.lower())
+    words = raw_words(message)
     matches = []
     for rule in load_rules():
         for word in words:

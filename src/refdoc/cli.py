@@ -252,10 +252,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except RefdocError as exc:
-        print(f"refdoc: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, OverflowError, ValueError) as exc:
+    except (RefdocError, OSError, OverflowError, ValueError) as exc:
         print(f"refdoc: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -173,16 +173,17 @@ def load_corpus(path, format: str = "jsonl") -> Dataset:
     """Read a JSONL or CSV commit corpus into a Dataset.
 
     Record order is preserved from the file. Raises ParseError on malformed
-    rows (with line number) and on files containing no records, UnknownLabel
-    on a label string outside the enumeration, DuplicateId on repeated ids.
+    rows (with line number), on files that are not UTF-8 text and on files
+    containing no records, UnknownLabel on a label string outside the
+    enumeration, DuplicateId on repeated ids.
     """
-    path = Path(path)
-    if format == "jsonl":
-        records = _load_jsonl(path)
-    elif format == "csv":
-        records = _load_csv(path)
-    else:
+    loaders = {"jsonl": _load_jsonl, "csv": _load_csv}
+    if format not in loaders:
         raise ValueError(f"unknown corpus format {format!r}")
+    try:
+        records = loaders[format](Path(path))
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8 text") from None
     if not records:
         raise ParseError("no records")
     return Dataset(records)

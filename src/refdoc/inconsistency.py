@@ -15,6 +15,8 @@ import json
 from . import pipeline
 from .corpus import Dataset, RefactoringType
 
+MAX_EXAMPLES = 10  # example ids listed per case
+
 
 class InconsistencyCase(enum.Enum):
     CONSISTENT = "Consistent"
@@ -38,8 +40,7 @@ def classify_pair(detector: RefactoringType,
     return InconsistencyCase.TYPE_MISMATCH
 
 
-def inconsistency_report(dataset: Dataset, model,
-                         max_examples: int = 10) -> dict:
+def inconsistency_report(dataset: Dataset, model) -> dict:
     """Counts, percentages, and example ids per case over a labeled corpus.
 
     The dataset labels are treated as detector output; the model must have
@@ -56,7 +57,7 @@ def inconsistency_report(dataset: Dataset, model,
     for rec, (pred, _) in zip(labeled, predicted):
         case = classify_pair(rec.label, pred)
         counts[case] += 1
-        if len(examples[case]) < max_examples:
+        if len(examples[case]) < MAX_EXAMPLES:
             examples[case].append(rec.id)
     total = len(labeled)
     return {

@@ -98,6 +98,9 @@ def load_model(path) -> TrainedModel:
         except RecursionError:
             raise ModelFormatError("not a model file: nested too deeply") \
                 from None
+        except UnicodeDecodeError:
+            raise ModelFormatError("not a model file: not UTF-8 text") \
+                from None
     if not isinstance(payload, dict):
         raise ModelFormatError("not a model file: expected a JSON object")
     version = payload.get("format_version")

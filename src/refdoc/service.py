@@ -8,8 +8,9 @@ REQUEST_TIMEOUT_S seconds from accept to the end of its body: a client
 that has not sent its whole request by then gets 408, however it paces
 the bytes of its request line, headers or body. Bodies over 64 KiB are
 rejected with 413. Malformed request lines, heads over the stream's 64 KiB
-limit, duplicate, negative or non-numeric Content-Length headers and
-malformed bodies get 400, and any other method or path 404.
+limit, duplicate, negative or non-numeric Content-Length headers, bodies
+that end before their Content-Length and malformed bodies get 400, and
+any other method or path 404.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ async def _answer(model, reader):
         return _error(413, "message too large")
     try:
         raw = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raw = exc.partial  # the client closed early
+    except asyncio.IncompleteReadError:  # the client closed early
+        return _error(400, "body shorter than Content-Length")
     try:
         payload = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):

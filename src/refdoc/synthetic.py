@@ -131,10 +131,9 @@ def _instantiate_pattern(pattern: str, rng) -> list:
     return words
 
 
-def _add_noise(words: list, rng, fraction: float) -> list:
-    if fraction <= 0:
-        return list(words)
-    n_noise = int(round(fraction / (1.0 - fraction) * len(words)))
+def _add_noise(words: list, rng) -> list:
+    n_noise = int(round(NOISE_FRACTION / (1.0 - NOISE_FRACTION)
+                        * len(words)))
     noise = [NOISE_WORDS[rng.integers(0, len(NOISE_WORDS))]
              for _ in range(n_noise)]
     head = int(rng.integers(0, n_noise + 1))
@@ -142,8 +141,7 @@ def _add_noise(words: list, rng, fraction: float) -> list:
 
 
 def generate_corpus(seed: int = 0, per_class: int = 100,
-                    include_none: bool = False,
-                    noise_fraction: float = NOISE_FRACTION) -> Dataset:
+                    include_none: bool = False) -> Dataset:
     """Build a balanced labeled corpus; a pure function of its arguments."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     catalog = load_catalog()
@@ -159,7 +157,7 @@ def generate_corpus(seed: int = 0, per_class: int = 100,
         for _ in range(per_class):
             template = sources[int(rng.integers(0, len(sources)))]
             words = _instantiate_pattern(template, rng)
-            words = _add_noise(words, rng, noise_fraction)
+            words = _add_noise(words, rng)
             message = " ".join(words)
             if rng.random() < 0.5:
                 message = message[:1].upper() + message[1:]

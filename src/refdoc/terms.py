@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Dict, List, Tuple
 
 from . import textprep
@@ -20,7 +19,6 @@ from .corpus import Dataset, RefactoringType, parse_label
 from .errors import InsufficientClass, UnknownLabel
 from .features import Ngram
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
 _ANY = object()  # the [] wildcard
 
 
@@ -129,9 +127,7 @@ class PatternCatalog:
 
 @lru_cache(maxsize=1)
 def load_catalog() -> PatternCatalog:
-    text = resources.files("refdoc.data").joinpath("pattern_catalog.txt") \
-        .read_text("utf-8")
-    return PatternCatalog.from_text(text)
+    return PatternCatalog.from_text(textprep.data_text("pattern_catalog.txt"))
 
 
 def _edge_keys(word, prefix_lengths):
@@ -154,7 +150,7 @@ def match_patterns(message: str, catalog: PatternCatalog = None) -> Dict:
         catalog = load_catalog()
     found = set()
     walks = []  # trie nodes reached by the walks still alive
-    for word in _WORD_RE.findall(message.lower()):
+    for word in textprep.raw_words(message):
         keys = _edge_keys(word, catalog._prefix_lengths)
         walks = [node.edges[key] for node in walks + [catalog._trie]
                  for key in keys if key in node.edges]

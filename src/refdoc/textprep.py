@@ -39,7 +39,8 @@ _GENERIC_CONTRACTIONS = [
 ]
 
 
-def _data_text(name):
+def data_text(name):
+    """The text of the bundled data file name."""
     return resources.files("refdoc.data").joinpath(name).read_text("utf-8")
 
 
@@ -47,7 +48,7 @@ def _data_text(name):
 def load_stopwords() -> frozenset:
     """The bundled stop-word list as a frozenset of lowercase words."""
     words = frozenset(
-        line.strip() for line in _data_text("stopwords.txt").splitlines()
+        line.strip() for line in data_text("stopwords.txt").splitlines()
         if line.strip()
     )
     return words
@@ -57,7 +58,7 @@ def load_stopwords() -> frozenset:
 def load_lemma_dict() -> dict:
     """The bundled inflected->lemma exception dictionary."""
     table = {}
-    for line in _data_text("lemmas.tsv").splitlines():
+    for line in data_text("lemmas.tsv").splitlines():
         if not line.strip():
             continue
         inflected, lemma = line.split("\t")
@@ -87,6 +88,12 @@ def tokenize(text: str) -> list:
     ["package", "level"].
     """
     return _TOKEN_RE.findall(text)
+
+
+def raw_words(message: str) -> list:
+    """The lowercased words of a raw message, with no other cleaning: what
+    keyword stems and catalog patterns are matched against."""
+    return tokenize(message.lower())
 
 
 def _ends_cvc(stem: str) -> bool:

@@ -83,9 +83,10 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d, n_features, n_classes=None):
-        """Rebuild a tree, rejecting any structure predict_row could not walk.
+        """Rebuild a tree, rejecting any shape fit does not make.
 
-        Children come after their parent, so a valid tree has no cycles.
+        Children come after their parent, so a valid tree has no cycles,
+        and every node but the root is the child of exactly one split.
         Feature ids and child indices must be integers; with n_classes,
         leaf values must be whole-number class indices below it.
         """
@@ -101,13 +102,18 @@ class Tree:
             raise ValueError("tree arrays must share one nonzero length")
         if not all(map(math.isfinite, tree.threshold + tree.value)):
             raise ValueError("tree thresholds and values must be finite")
+        children = []
         for node, feat in enumerate(tree.feature):
             if feat >= 0:
-                if not (feat < n_features and node < tree.left[node] < n
-                        and node < tree.right[node] < n):
+                if not (feat < n_features and node < tree.left[node]
+                        and node < tree.right[node]):
                     raise ValueError(f"tree node {node} is not a valid split")
+                children += (tree.left[node], tree.right[node])
             elif n_classes is not None and tree.value[node] not in range(n_classes):
                 raise ValueError(f"tree leaf {node} names no class")
+        if sorted(children) != list(range(1, n)):
+            raise ValueError("every tree node but the root must be the "
+                             "child of exactly one split")
         return tree
 
 
@@ -209,8 +215,6 @@ class FlatEnsemble:
     def __init__(self, class_trees):
         trees = [tree for per_class in class_trees for tree in per_class]
         sizes = np.array([len(tree.feature) for tree in trees], dtype=np.int64)
-        self.class_ends = np.cumsum([len(per_class)
-                                     for per_class in class_trees])
         self.roots = np.cumsum(sizes) - sizes
         self.feature = _concat(trees, "feature", np.int64)
         self.threshold = _concat(trees, "threshold", np.float64)
@@ -229,7 +233,7 @@ class FlatEnsemble:
             self.depth += 1
             below = np.concatenate((self.child[2 * splits],
                                     self.child[2 * splits + 1]))
-            splits = np.unique(below[~leaf[below]])  # children may be shared
+            splits = below[~leaf[below]]
 
     def leaf_values(self, row):
         """The leaf value each tree gives one dense row, in tree order.
@@ -283,18 +287,16 @@ class BoostedClassifier:
         from margins f0s."""
         margins = [np.full(y.size, f0, dtype=np.float64)
                    for y, f0 in zip(ys, f0s)]
+        probs = [sigmoid(m) for m in margins]
         class_trees = [[] for _ in ys]
         for _ in range(self.n_trees):
-            g, h = [], []
-            for y, m in zip(ys, margins):
-                p = sigmoid(m)
-                g.append(y - p)
-                h.append(p * (1.0 - p))
             trees, train_preds = fit_regression_tree(
-                csc, g, h, self.max_leaves, self.min_leaf)
+                csc, [y - p for y, p in zip(ys, probs)],
+                [p * (1.0 - p) for p in probs], self.max_leaves,
+                self.min_leaf)
             for c, y in enumerate(ys):
                 margins[c] = margins[c] + self.learning_rate * train_preds[c]
-                p = sigmoid(margins[c])
+                probs[c] = p = sigmoid(margins[c])
                 pos = p[y == 1.0]
                 neg = p[y == 0.0]
                 with np.errstate(divide="ignore"):
@@ -309,14 +311,14 @@ class BoostedClassifier:
         """Per-class sigmoid of the boosted margins for one dense row (the
         one-vs-all combination rule).
 
-        cumsum adds in sequence, so each margin equals f0 + lr*v_1 + ...
-        + lr*v_T summed tree by tree, bit for bit.
+        cumsum adds in sequence along each class's row of (f0, steps), so
+        each margin equals f0 + lr*v_1 + ... + lr*v_T summed tree by tree,
+        bit for bit.
         """
         steps = self.learning_rate * self.flat.leaf_values(row)
-        margins = [np.cumsum(np.concatenate(([f0], class_steps)))[-1]
-                   for f0, class_steps in zip(
-                       self.f0, np.split(steps, self.flat.class_ends[:-1]))]
-        return sigmoid(margins)
+        margins = np.cumsum(np.column_stack(
+            (self.f0, steps.reshape(len(self.f0), self.n_trees))), axis=1)
+        return sigmoid(margins[:, -1])
 
     def to_dict(self):
         return {
@@ -328,11 +330,12 @@ class BoostedClassifier:
     def load_dict(self, d, n_classes, n_features):
         """Set f0 and the trees from to_dict() output; returns self."""
         self.f0 = [float(v) for v in d["f0"]]
+        if (len(self.f0) != n_classes or len(d["trees"]) != n_classes
+                or any(len(ts) != self.n_trees for ts in d["trees"])):
+            raise ValueError("boosted model does not have one f0 and "
+                             f"n_trees = {self.n_trees} trees per class")
         self.trees = [[Tree.from_dict(t, n_features) for t in class_trees]
                       for class_trees in d["trees"]]
-        if len(self.f0) != n_classes or len(self.trees) != n_classes:
-            raise ValueError("boosted model does not have one f0 and one "
-                             "tree list per class")
         if not all(math.isfinite(v) for v in self.f0):
             raise ValueError("boosted model f0 must be finite")
         self.flat = FlatEnsemble(self.trees)
@@ -352,8 +355,12 @@ class ForestClassifier:
         self.n_classes = None
         self.trees = None
 
-    def _fit_one(self, csc, n, y_idx, n_classes, n_features, rng, kernels):
+    def _fit_one(self, csc, y_idx, n_classes, rng):
+        """One bootstrap tree; node i, in creation order, scores row i of
+        the candidates."""
+        kernels = get_kernels()
         indptr, rows, vals, _ = csc
+        n, n_features = y_idx.size, indptr.size - 1
         bag = rng.integers(0, n, size=n)
         weights = np.bincount(bag, minlength=n).astype(np.int64)
         node_of = np.where(weights > 0, 0, -1).astype(np.int64)
@@ -365,17 +372,14 @@ class ForestClassifier:
 
         root_counts = np.zeros(n_classes, dtype=np.int64)
         np.add.at(root_counts, y_idx, weights)
-        total = int(weights.sum())
 
         tree = Tree()
         root = tree.add_leaf(0)
-        # stack of (partition id, tree node, depth, class counts, candidate row)
-        stack = [(0, root, 0, root_counts, 0)]
+        stack = [(0, root, 0, root_counts)]  # (partition id, node, depth, counts)
         next_pid = 1
-        next_row = 1  # candidate row per created node, in creation order
 
         while stack:
-            pid, tree_node, depth, counts, cand_row = stack.pop()
+            pid, tree_node, depth, counts = stack.pop()
             count = int(counts.sum())
             majority = int(np.argmax(counts))  # first max = lowest class index
             pure = counts[majority] == count
@@ -384,7 +388,7 @@ class ForestClassifier:
                 continue
             gain, feat, thr = kernels.rf_best_candidate(
                 indptr, rows, vals, node_of, pid, y_idx, weights, n_classes,
-                cand_feats[cand_row], cand_fracs[cand_row], counts, count,
+                cand_feats[tree_node], cand_fracs[tree_node], counts, count,
                 self.min_leaf)
             if feat < 0:
                 tree.value[tree_node] = majority
@@ -398,17 +402,12 @@ class ForestClassifier:
             left_node = tree.add_leaf(0)
             right_node = tree.add_leaf(0)
             tree.make_split(tree_node, feat, thr, left_node, right_node)
-            left_row, right_row = next_row, next_row + 1
-            next_row += 2
-            stack.append((right_pid, right_node, depth + 1, right_counts,
-                          right_row))
-            stack.append((pid, left_node, depth + 1, left_counts, left_row))
+            stack.append((right_pid, right_node, depth + 1, right_counts))
+            stack.append((pid, left_node, depth + 1, left_counts))
         return tree
 
     def fit(self, X_csr, y_idx, n_classes):
-        kernels = get_kernels()
         csc = build_sorted_csc(X_csr)
-        n, n_features = X_csr.shape
         self.n_classes = n_classes
 
         def fit_trees(ts):
@@ -416,8 +415,7 @@ class ForestClassifier:
             for t in ts:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(self.seed, spawn_key=(t,)))
-                trees.append(self._fit_one(
-                    csc, n, y_idx, n_classes, n_features, rng, kernels))
+                trees.append(self._fit_one(csc, y_idx, n_classes, rng))
             return trees
 
         self.trees = map_parts(fit_trees, range(self.n_estimators))
@@ -436,8 +434,9 @@ class ForestClassifier:
     def load_dict(self, d, n_classes, n_features):
         """Set the trees from to_dict() output; returns self."""
         self.n_classes = n_classes
+        if len(d["trees"]) != self.n_estimators:
+            raise ValueError(f"forest does not have n_estimators = "
+                             f"{self.n_estimators} trees")
         self.trees = [Tree.from_dict(t, n_features, n_classes)
                       for t in d["trees"]]
-        if not self.trees:
-            raise ValueError("forest has no trees")
         return self

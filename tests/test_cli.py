@@ -63,6 +63,12 @@ def deeply_nested(path):
     return str(path)
 
 
+def not_utf8(path):
+    """A file whose bytes are not UTF-8 text, as a string path."""
+    path.write_bytes(b'{"id": "\xff"}\n')
+    return str(path)
+
+
 # case -> (argv from the case's paths, expected text in stderr)
 HOSTILE = {
     "serve-port-out-of-range": (lambda p: [
@@ -83,6 +89,11 @@ HOSTILE = {
     "ingest-deeply-nested-line": (lambda p: [
         "ingest", deeply_nested(p["tmp"] / "deep.jsonl")],
         "line 1: JSON nested too deeply"),
+    "predict-model-not-utf8": (lambda p: [
+        "predict", "renamed the method", "--model",
+        not_utf8(p["tmp"] / "latin.json")], "not UTF-8"),
+    "ingest-corpus-not-utf8": (lambda p: [
+        "ingest", not_utf8(p["tmp"] / "latin.jsonl")], "not UTF-8"),
 }
 
 

@@ -117,6 +117,17 @@ def test_csv_bad_header(tmp_path):
         load_corpus(path, format="csv")
 
 
+@pytest.mark.parametrize("fmt,raw", [
+    ("jsonl", b'{"id": "1", "project": "p", "message": "caf\xe9"}\n'),
+    ("csv", b"id,project,message,label\n1,p,caf\xe9,\n"),
+])
+def test_non_utf8_corpus_is_a_parse_error(tmp_path, fmt, raw):
+    path = tmp_path / f"c.{fmt}"
+    path.write_bytes(raw)  # Latin-1, not UTF-8
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_corpus(path, format=fmt)
+
+
 def test_stratified_sample_balances_and_is_deterministic(tmp_path):
     rows = []
     for label in METHOD_TYPES:

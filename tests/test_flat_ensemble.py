@@ -105,27 +105,44 @@ def test_rows_on_the_split_thresholds(gbt_model, split_strategy):
     check()
 
 
-def test_ragged_classes_and_single_leaf_trees():
-    # class 0: a one-leaf tree then a split; class 1: no trees at all
-    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1],
-            "right": [-1], "value": [0.5]}
-    split = {"feature": [1, -1, -1], "threshold": [0.25, 0.0, 0.0],
-             "left": [1, -1, -1], "right": [2, -1, -1],
-             "value": [0.0, -1.5, 2.0]}
-    estimator = make_estimator(ModelConfig(algorithm="gbt")).load_dict(
-        {"f0": [0.1, -0.3], "trees": [[leaf, split], []]}, 2, 2)
+LEAF = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+        "value": [0.5]}
+SPLIT = {"feature": [1, -1, -1], "threshold": [0.25, 0.0, 0.0],
+         "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -1.5, 2.0]}
+
+
+def boosted(n_trees):
+    return make_estimator(ModelConfig(algorithm="gbt",
+                                      hyperparameters={"n_trees": n_trees}))
+
+
+def test_single_leaf_trees():
+    # class 0: a one-leaf tree then a split; class 1: a split then a leaf
+    estimator = boosted(2).load_dict(
+        {"f0": [0.1, -0.3], "trees": [[LEAF, SPLIT], [SPLIT, LEAF]]}, 2, 2)
     flat = estimator.flat
-    assert flat.roots.tolist() == [0, 1]
+    assert flat.roots.tolist() == [0, 1, 4, 7]
     # (right, left) per node; a leaf's children are itself
-    assert flat.child.tolist() == [0, 0, 3, 2, 2, 2, 3, 3]
+    assert flat.child.tolist() == [0, 0, 3, 2, 2, 2, 3, 3,
+                                   6, 5, 5, 5, 6, 6, 7, 7]
     assert flat.depth == 1
     assert_scores_match(estimator, [np.array(r) for r in
                                     ([0.0, 0.0], [0.0, 0.25], [0.0, 0.3])])
 
 
-def test_shared_child_chain_loads_quickly():
-    # Tree.from_dict allows both children of a split to be one node; a
-    # chain of 59 such splits has 60 nodes but 2**59 root-to-leaf paths
+@pytest.mark.parametrize("trees", [
+    [[LEAF, SPLIT], []],             # ragged: class 1 has no trees
+    [[LEAF, SPLIT], [SPLIT]],        # ragged: one tree short
+    [[LEAF, SPLIT, LEAF], [SPLIT, LEAF, SPLIT]],  # equal, but not n_trees
+], ids=["empty-class", "one-short", "three-each"])
+def test_tree_counts_other_than_n_trees_per_class_are_rejected(trees):
+    with pytest.raises(ValueError, match="n_trees = 2"):
+        boosted(2).load_dict({"f0": [0.1, -0.3], "trees": trees}, 2, 2)
+
+
+def test_shared_child_chain_is_rejected_quickly():
+    # both children of each split are one node: a chain of 59 such splits
+    # has 60 nodes but 2**59 root-to-leaf paths
     n = 60
     chain = {"feature": [0] * (n - 1) + [-1],
              "threshold": [float(i) for i in range(n)],
@@ -133,9 +150,6 @@ def test_shared_child_chain_loads_quickly():
              "right": list(range(1, n)) + [-1],
              "value": [0.0] * (n - 1) + [1.5]}
     start = time.perf_counter()
-    estimator = make_estimator(ModelConfig(algorithm="gbt")).load_dict(
-        {"f0": [0.1], "trees": [[chain]]}, 1, 1)
+    with pytest.raises(ValueError, match="exactly one split"):
+        boosted(1).load_dict({"f0": [0.1], "trees": [[chain]]}, 1, 1)
     assert time.perf_counter() - start < 1.0
-    assert estimator.flat.depth == n - 1
-    assert_scores_match(estimator, [np.array([v])
-                                    for v in (-1.0, 0.0, 30.0, 1e6)])

@@ -5,7 +5,8 @@ defaults, tests/data/model_golden.json holds the sha256 of the model file
 that `refdoc train` writes: save_model with the dataset fingerprint, at
 SOURCE_DATE_EPOCH=1700000000. A change to training that moves one bit of
 a learned array, or to the file format, fails here. The gbt, logreg and rf
-digests must hold whether their fits run in 1, 2 or 3 worker processes.
+digests must hold whether their fits run in 1, 2 or 3 worker processes,
+and every such file must load.
 
 Regenerate the file (only when a change of output is intended) with
     PYTHONPATH=src python tests/test_model_golden.py
@@ -42,6 +43,7 @@ def test_model_files_match_golden_digests(algo, bundled_models,
     got = file_digest(bundled_models[algo], synthetic_dataset,
                       tmp_path / f"{algo}.json")
     assert got == golden[algo], f"{algo} model file bytes changed"
+    model_io.load_model(tmp_path / f"{algo}.json")
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -55,6 +57,7 @@ def test_model_files_match_golden_digests_at_every_worker_count(
     assert len(forked_pids) == cpus - 1
     got = file_digest(model, synthetic_dataset, tmp_path / f"{algo}.json")
     assert got == golden[algo], f"{algo} model file bytes changed"
+    model_io.load_model(tmp_path / f"{algo}.json")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 import json
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refdoc import pipeline
 from refdoc.classifiers import ModelConfig
@@ -63,6 +67,14 @@ def test_non_json_file_rejected(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("definitely not json")
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_non_utf8_file_rejected(nb_model, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(nb_model, path)
+    path.write_bytes(path.read_bytes().replace(b'"nb"', b'"n\xe9"', 1))
+    with pytest.raises(ModelFormatError, match="not UTF-8"):
         load_model(path)
 
 
@@ -202,6 +214,37 @@ def _no_trees(p):
     p["parameters"]["trees"] = []
 
 
+def _one_tree_too_many(p):
+    trees = p["parameters"]["trees"]
+    trees.append(trees[0])
+
+
+def _one_tree_short(p):
+    p["parameters"]["trees"].pop()
+
+
+def _unequal_tree_counts(p):
+    p["parameters"]["trees"][0].pop()
+
+
+def _one_tree_short_in_every_class(p):
+    for class_trees in p["parameters"]["trees"]:
+        class_trees.pop()
+
+
+def _child_with_two_parents(p):
+    tree = _first_tree(p)
+    node = _last_split(tree)
+    tree["right"][node] = tree["left"][node]
+
+
+def _orphan_node(p):
+    tree = _first_tree(p)
+    for key, leaf in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                      ("right", -1), ("value", 0.0)):
+        tree[key].append(leaf)
+
+
 def _idf_cut_to_3(p):
     p["vocabulary"]["idf"] = p["vocabulary"]["idf"][:3]
 
@@ -297,6 +340,10 @@ _DAMAGE = [
     ("rf", _left_child_before_its_parent), ("rf", _no_trees),
     ("rf", _self_loop), ("rf", _feature_out_of_range),
     ("rf", _left_child_out_of_range), ("rf", _fractional_leaf_class),
+    ("gbt", _unequal_tree_counts), ("gbt", _one_tree_short_in_every_class),
+    ("gbt", _child_with_two_parents), ("gbt", _orphan_node),
+    ("rf", _child_with_two_parents), ("rf", _orphan_node),
+    ("rf", _one_tree_too_many), ("rf", _one_tree_short),
 ]
 
 
@@ -367,3 +414,54 @@ def test_vocabulary_n_max_must_match_the_pipeline(nb_model, tmp_path, n_max):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match="n_max"):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def small_gbt_text(small_dataset, tmp_path_factory):
+    """A gbt model file of 3 trees of at most 4 leaves per class."""
+    model = pipeline.fit(small_dataset, ModelConfig(
+        algorithm="gbt", hyperparameters={"n_trees": 3, "max_leaves": 4}))
+    path = tmp_path_factory.mktemp("gbt") / "model.json"
+    save_model(model, path)
+    return path.read_text()
+
+
+def _is_proper(tree):
+    """Every node but the root is the child of exactly one earlier split."""
+    splits = [i for i, f in enumerate(tree.feature) if f >= 0]
+    children = sorted(c for i in splits for c in (tree.left[i], tree.right[i]))
+    return (children == list(range(1, len(tree.feature)))
+            and all(i < tree.left[i] and i < tree.right[i] for i in splits))
+
+
+def test_mutated_children_load_as_proper_trees_or_are_rejected(
+        small_gbt_text, tmp_path):
+    path = tmp_path / "model.json"
+    n_features = len(json.loads(small_gbt_text)["vocabulary"]["selected"])
+    rows = np.random.default_rng(5).random((8, n_features)) * 0.3
+    # (class, tree, "left" or "right", node, new child index)
+    mutation = st.tuples(st.integers(0, 5), st.integers(0, 2),
+                         st.sampled_from(["left", "right"]),
+                         st.integers(0, 6), st.integers(-2, 8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(mutation, min_size=1, max_size=4))
+    def check(mutations):
+        payload = json.loads(small_gbt_text)
+        for c, t, side, node, value in mutations:
+            tree = payload["parameters"]["trees"][c][t]
+            tree[side][node % len(tree[side])] = value
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        try:
+            estimator = load_model(path).estimator
+        except ModelFormatError:
+            pass
+        else:
+            trees = [t for class_trees in estimator.trees for t in class_trees]
+            assert all(map(_is_proper, trees))
+            for row in rows:
+                assert estimator.flat.leaf_values(row).tolist() == [
+                    t.predict_row(row) for t in trees]
+        assert time.perf_counter() - start < 1.0
+    check()

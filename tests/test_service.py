@@ -44,6 +44,9 @@ def server(nb_model):
         yield f"http://127.0.0.1:{port}"
 
 
+_BODY = b'{"message": "renamed the method"}'
+
+
 def post(url, body, raw=False):
     data = body if raw else json.dumps(body).encode()
     req = urllib.request.Request(url + "/predict", data=data,
@@ -119,6 +122,19 @@ def test_bad_content_length_is_400_without_reading(server, length):
                      "\r\n\r\n".encode())
         status_line = sock.makefile("rb").readline()
     assert status_line.split()[1] == b"400"
+
+
+def test_body_shorter_than_content_length_is_400(server):
+    host, port = server.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        # 33 bytes of a valid body under a promise of 100, then end of stream
+        sock.sendall(b"POST /predict HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+                     + _BODY)
+        sock.shutdown(socket.SHUT_WR)
+        reply = sock.makefile("rb").read()
+    assert reply.startswith(b"HTTP/1.0 400 "), reply[:80]
+    assert json.loads(reply.partition(b"\r\n\r\n")[2]) == {
+        "error": "body shorter than Content-Length"}
 
 
 def test_stalled_body_gets_408_and_the_connection_is_released(nb_model,
@@ -217,9 +233,10 @@ def test_header_drip_gets_408_or_a_close_at_the_request_deadline(
     assert elapsed < 2.0
 
 
-# Hostile request heads. Each is sent and then ended by the client in one
-# of three ways: a half close that still reads the answer, a close, or a
-# reset (SO_LINGER 0).
+# Hostile request heads, and bodies longer or shorter than their head
+# declares. Each is sent and then ended by the client in one of three
+# ways: a half close that still reads the answer, a close, or a reset
+# (SO_LINGER 0).
 _WORDS = st.sampled_from(["GET", "POST", "/predict", "/health", "HTTP/1.0",
                           "HTTP/1.1", "HTTP", "", "x", "get", "\t"])
 _REQUEST_LINES = st.lists(_WORDS, max_size=5).map(
@@ -239,13 +256,18 @@ _BAD_LENGTHS = st.one_of(
 _CONTENT_LENGTHS = _BAD_LENGTHS.map(lambda values: (
     b"POST /predict HTTP/1.0\r\n"
     + b"".join(f"Content-Length: {v}\r\n".encode("latin-1") for v in values)
-    + b"\r\n" + b'{"message": "renamed the method"}'))
+    + b"\r\n" + _BODY))
 _VALID_HEAD = b"POST /predict HTTP/1.0\r\nContent-Length: 33\r\n\r\n"
 _CUT_HEADS = st.integers(0, len(_VALID_HEAD) - 1).map(
     lambda n: _VALID_HEAD[:n])
+# a valid body under a Content-Length that is smaller or larger than it
+_MISSIZED_BODIES = st.integers(0, 2 * len(_BODY)).filter(
+    lambda n: n != len(_BODY)).map(
+    lambda n: b"POST /predict HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+    % (n, _BODY))
 _HOSTILE_HEADS = st.one_of(st.binary(max_size=300), _REQUEST_LINES,
                            _UNKNOWN_METHODS, _OVERSIZED_HEAD,
-                           _CONTENT_LENGTHS, _CUT_HEADS)
+                           _CONTENT_LENGTHS, _CUT_HEADS, _MISSIZED_BODIES)
 
 
 def _exchange_hostile(port, data, ending):
@@ -297,6 +319,8 @@ def loop_errors(monkeypatch):
        ending=st.sampled_from(["half close", "close", "reset"]))
 @example(data=b"GET /health\r\n\r\n", ending="half close")
 @example(data=b"GET /health HTTP/1.0 x\r\n\r\n", ending="half close")
+@example(data=_VALID_HEAD.replace(b"33", b"34") + _BODY, ending="half close")
+@example(data=_VALID_HEAD.replace(b"33", b"32") + _BODY, ending="half close")
 def test_hostile_heads_end_in_4xx_or_a_close(nb_model, monkeypatch,
                                              loop_errors, data, ending):
     monkeypatch.setattr(service, "REQUEST_TIMEOUT_S", 0.5)

@@ -62,7 +62,7 @@ def test_corpus_with_none_class_fingerprint_is_pinned():
 
 
 def test_messages_carry_a_matching_catalog_pattern():
-    ds = generate_corpus(seed=6, per_class=30, noise_fraction=0.3)
+    ds = generate_corpus(seed=6, per_class=30)
     hit = 0
     for rec in ds:
         if rec.label in match_patterns(rec.message):

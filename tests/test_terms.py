@@ -1,3 +1,4 @@
+import re
 import time
 from importlib import resources
 
@@ -11,7 +12,6 @@ from refdoc.corpus import RefactoringType as RT
 from refdoc.errors import InsufficientClass
 from refdoc.terms import (
     _ANY,
-    _WORD_RE,
     PatternCatalog,
     _parse_pattern,
     frequent_ngrams,
@@ -38,10 +38,11 @@ def _reference_match_at(words, start, tokens) -> bool:
 
 def reference_match_patterns(message, catalog):
     """match_patterns as it was before the trie: every pattern is tried at
-    every word position, verbatim but for compiling the catalog here."""
+    every word position, verbatim but for compiling the catalog and the
+    word pattern here."""
     compiled_catalog = {cls: [(p, _parse_pattern(p)) for p in plist]
                         for cls, plist in catalog.patterns.items()}
-    words = _WORD_RE.findall(message.lower())
+    words = re.findall(r"[a-z0-9]+", message.lower())
     hits = {}
     for cls, compiled in compiled_catalog.items():
         for text, tokens in compiled:
