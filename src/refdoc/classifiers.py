@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import RefactoringType, present_types
-from .errors import EmptyFeatures, InsufficientClass, SingleClass
+from .errors import EmptyFeatures, InsufficientClass, SingleClass, UnknownLabel
 from .features import Vocabulary
 from .logreg import LogisticOvA
 from .naive_bayes import NaiveBayes
@@ -119,10 +119,22 @@ def make_estimator(config: ModelConfig):
 
 def train(config: ModelConfig, X, labels, vocab: Vocabulary) -> TrainedModel:
     """Fit the configured algorithm on the weighted CSR rows of X from
-    features.vectorize. Deterministic given (config.seed, data). Requires
-    two classes with two samples each and at least one nonempty row."""
+    features.vectorize. Deterministic given (config.seed, data). The one
+    owner of the training-label rules: a label on each row of X, None-
+    labeled rows exactly when config.include_none, and two classes with
+    two samples each. X needs at least one nonempty row."""
     labels = list(labels)
+    if len(labels) != X.shape[0]:
+        raise ValueError(f"{X.shape[0]} rows but {len(labels)} labels")
     have = Counter(labels)
+    if None in have:
+        raise UnknownLabel("training needs labels on every record")
+    has_none = RefactoringType.NONE in have
+    if has_none != config.include_none:
+        raise UnknownLabel(
+            "dataset has None-labeled rows; pass include_none to use them"
+            if has_none else
+            "include_none requires None-labeled rows in the corpus")
     class_order = present_types(have)
     if len(class_order) < 2:
         raise SingleClass("training needs at least two classes")
@@ -154,11 +166,6 @@ def predict(model: TrainedModel, X) -> list:
 
 
 def predicted_label(scores: dict, class_order) -> RefactoringType:
-    """Argmax over scores; ties go to the earliest class in class_order."""
-    best = None
-    best_score = -np.inf
-    for cls in class_order:
-        s = scores[cls]
-        if s > best_score:
-            best, best_score = cls, s
-    return best
+    """Argmax over scores; max keeps the first maximum, so ties go to the
+    earliest class in class_order."""
+    return max(class_order, key=scores.__getitem__)

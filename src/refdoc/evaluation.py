@@ -23,7 +23,7 @@ from . import pipeline
 from .baseline import keyword_predict
 from .corpus import (ALL_TYPES, PRNG_NAME, Dataset, RefactoringType,
                      present_types)
-from .errors import InsufficientClass, UnknownLabel
+from .errors import EmptyCorpus, InsufficientClass, UnknownLabel
 from .features import select_rows
 from .workers import map_parts
 
@@ -166,6 +166,8 @@ def baseline_report(dataset: Dataset) -> EvalReport:
         label, _ = keyword_predict(rec.message)
         pred = label if label is not None else RefactoringType.NONE
         pairs.append((rec.label, pred))
+    if not pairs:
+        raise EmptyCorpus("the baseline report needs labeled records")
     classes = present_types(t for pair in pairs for t in pair)
     return report_from_pairs(pairs, classes,
                              {"algorithm": "keyword-baseline"},

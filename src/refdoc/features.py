@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .corpus import present_types
-from .errors import EmptyCorpus, SingleClass
+from .errors import EmptyCorpus
 
 Ngram = Tuple[str, ...]
 
@@ -109,12 +109,12 @@ def count_ngrams(tokens: Sequence[str], n_max: int) -> Dict[Ngram, int]:
 class Vocabulary:
     """N-gram feature space with IDF weights and a Fisher-ranked selection.
 
-    Feature ids are dense 0..V-1 in lexicographic n-gram order. `selected`
-    lists the chosen feature ids ranked by Fisher score descending with
-    lexicographic tie-breaking; lowering k therefore yields a prefix of the
-    higher-k selection. `columns` maps each selected n-gram, in column
-    order, to its column p: the position of its id in `selected`, whose
-    idf is `column_idf[p]`.
+    Feature ids are dense 0..V-1 in lexicographic n-gram order, each
+    n-gram once. `selected` lists the chosen feature ids ranked by Fisher
+    score descending with lexicographic tie-breaking; lowering k therefore
+    yields a prefix of the higher-k selection. `columns` maps each
+    selected n-gram, in column order, to its column p: the position of its
+    id in `selected`, whose idf is `column_idf[p]`.
     """
 
     ngrams: List[Ngram]
@@ -129,6 +129,8 @@ class Vocabulary:
 
     def __post_init__(self):
         n = len(self.ngrams)
+        if any(a >= b for a, b in zip(self.ngrams, self.ngrams[1:])):
+            raise ValueError("ngrams must be distinct and in ascending order")
         if any(len(a) != n for a in (self.doc_freq, self.idf, self.fisher)):
             raise ValueError("doc_freq, idf and fisher need one entry per n-gram")
         if not np.isfinite(self.idf).all():
@@ -152,15 +154,10 @@ def fisher_scores(counts, labels, idf) -> np.ndarray:
     population variances, eps = 1e-12. Classes are visited in canonical
     label order; every sum is an axis-0 sum of a C-ordered block, which
     adds rows in dataset order, bit-equal to a straightforward loop.
+    labels holds one label per row, as build_vocabulary checks.
     """
     n_docs, n_feat = counts.shape
-    if n_docs == 0:
-        raise EmptyCorpus("no documents")
-    if n_docs != len(labels):
-        raise ValueError("docs and labels length mismatch")
     classes = present_types(labels)
-    if len(classes) < 2:
-        raise SingleClass("need at least two distinct labels")
 
     col_ptr, doc_of, col_of, vals = column_view(counts)
     vals = vals * idf[col_of]
@@ -210,7 +207,8 @@ def build_vocabulary(counts, ngrams, labels, n_max, k_select) -> Vocabulary:
     """Vocabulary of the rows of a count matrix over the sorted n-grams:
     the n-grams with nonzero df in those rows, in lexicographic order.
 
-    Requires two documents and two distinct labels. idf is the smoothed
+    Requires one label per row, at least one row and one nonzero column;
+    classifiers.train owns the other label rules. idf is the smoothed
     ln((1+N)/(1+df)) + 1, so a feature in every document scores 1.0.
     """
     labels = list(labels)
@@ -219,8 +217,6 @@ def build_vocabulary(counts, ngrams, labels, n_max, k_select) -> Vocabulary:
         raise EmptyCorpus("no documents")
     if n_docs != len(labels):
         raise ValueError("docs and labels length mismatch")
-    if len(set(labels)) < 2:
-        raise SingleClass("need at least two distinct labels")
 
     keep = np.flatnonzero(np.bincount(counts.indices, minlength=len(ngrams)))
     if not keep.size:

@@ -128,9 +128,12 @@ class LogisticOvA:
         return self
 
     def score_row(self, row):
-        """Per-class OvA sigmoids normalized to sum to one."""
+        """Per-class OvA sigmoids normalized to sum to one. Where every
+        sigmoid underflows to 0, exp(z - max z) holds their limiting ratios."""
         z = self.weights @ row + self.bias
         p = _sigmoid(z)
+        if not p.sum():
+            p = np.exp(z - z.max())
         return p / p.sum()
 
     def to_dict(self):

@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from .classifiers import ModelConfig, TrainedModel, make_estimator
-from .corpus import PRNG_NAME, parse_label
-from .errors import ModelFormatError
+from .corpus import PRNG_NAME, parse_label, present_types
+from .errors import ModelFormatError, UnknownLabel
 from .features import Vocabulary
 
 FORMAT_VERSION = 1
@@ -112,7 +112,8 @@ def load_model(path) -> TrainedModel:
         return _model_from_payload(payload)
     except KeyError as exc:
         raise ModelFormatError(f"model file lacks field {exc}") from None
-    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError,
+            UnknownLabel) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
 
 
@@ -130,6 +131,9 @@ def _model_from_payload(payload) -> TrainedModel:
         raise ModelFormatError(f"vocabulary n_max {vocab.n_max} differs "
                                f"from the pipeline's {config.n_max}")
     class_order = tuple(parse_label(s) for s in payload["class_order"])
+    if len(class_order) < 2 or class_order != present_types(class_order):
+        raise ModelFormatError("class_order must list two or more distinct "
+                               "classes in canonical order")
     estimator = make_estimator(config).load_dict(
         payload["parameters"], len(class_order), vocab.n_selected)
     return TrainedModel(config=config, vocab=vocab, class_order=class_order,

@@ -8,8 +8,6 @@ through fit_counts and predict_counts rather than repeating their steps.
 from __future__ import annotations
 
 from . import classifiers, features, textprep
-from .corpus import RefactoringType
-from .errors import UnknownLabel
 
 
 def featurize(message: str, n_max: int):
@@ -35,22 +33,9 @@ def fit(dataset, config: classifiers.ModelConfig) -> classifiers.TrainedModel:
 
 
 def fit_counts(counts, ngrams, labels, config: classifiers.ModelConfig):
-    """Train on the rows of a count matrix over the sorted n-grams.
-
-    None-labeled rows are rejected unless the config says include_none,
-    and include_none demands that such rows exist.
-    """
+    """Train on the rows of a count matrix over the sorted n-grams;
+    classifiers.train checks the labels."""
     labels = list(labels)
-    if None in labels:
-        raise UnknownLabel("training needs labels on every record")
-    has_none = RefactoringType.NONE in labels
-    if has_none and not config.include_none:
-        raise UnknownLabel(
-            "dataset has None-labeled rows; pass include_none to use them")
-    if config.include_none and not has_none:
-        raise UnknownLabel(
-            "include_none requires None-labeled rows in the corpus")
-
     vocab = features.build_vocabulary(counts, ngrams, labels, config.n_max,
                                       config.k_select)
     column = {g: j for j, g in enumerate(ngrams)}

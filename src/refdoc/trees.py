@@ -82,13 +82,15 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, d, n_features, n_classes=None):
+    def from_dict(cls, d, n_features, n_classes=None, max_depth=None):
         """Rebuild a tree, rejecting any shape fit does not make.
 
         Children come after their parent, so a valid tree has no cycles,
         and every node but the root is the child of exactly one split.
         Feature ids and child indices must be integers; with n_classes,
-        leaf values must be whole-number class indices below it.
+        leaf values must be whole-number class indices below it, and with
+        max_depth, no node may lie more than max_depth splits below the
+        root.
         """
         tree = cls()
         tree.feature = [operator.index(x) for x in d["feature"]]
@@ -103,17 +105,22 @@ class Tree:
         if not all(map(math.isfinite, tree.threshold + tree.value)):
             raise ValueError("tree thresholds and values must be finite")
         children = []
+        depth = [0] * n  # final at each node, as its parent comes first
         for node, feat in enumerate(tree.feature):
             if feat >= 0:
-                if not (feat < n_features and node < tree.left[node]
-                        and node < tree.right[node]):
+                left, right = tree.left[node], tree.right[node]
+                if not (feat < n_features and node < left < n
+                        and node < right < n):
                     raise ValueError(f"tree node {node} is not a valid split")
-                children += (tree.left[node], tree.right[node])
+                children += (left, right)
+                depth[left] = depth[right] = depth[node] + 1
             elif n_classes is not None and tree.value[node] not in range(n_classes):
                 raise ValueError(f"tree leaf {node} names no class")
         if sorted(children) != list(range(1, n)):
             raise ValueError("every tree node but the root must be the "
                              "child of exactly one split")
+        if max_depth is not None and max(depth) > max_depth:
+            raise ValueError(f"tree is deeper than max_depth = {max_depth}")
         return tree
 
 
@@ -336,6 +343,11 @@ class BoostedClassifier:
                              f"n_trees = {self.n_trees} trees per class")
         self.trees = [[Tree.from_dict(t, n_features) for t in class_trees]
                       for class_trees in d["trees"]]
+        # a tree of n nodes has (n + 1) / 2 leaves
+        if any(len(t.feature) > 2 * self.max_leaves - 1
+               for class_trees in self.trees for t in class_trees):
+            raise ValueError("a boosted tree has more than max_leaves = "
+                             f"{self.max_leaves} leaves")
         if not all(math.isfinite(v) for v in self.f0):
             raise ValueError("boosted model f0 must be finite")
         self.flat = FlatEnsemble(self.trees)
@@ -437,6 +449,6 @@ class ForestClassifier:
         if len(d["trees"]) != self.n_estimators:
             raise ValueError(f"forest does not have n_estimators = "
                              f"{self.n_estimators} trees")
-        self.trees = [Tree.from_dict(t, n_features, n_classes)
+        self.trees = [Tree.from_dict(t, n_features, n_classes, self.max_depth)
                       for t in d["trees"]]
         return self

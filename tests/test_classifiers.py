@@ -19,7 +19,8 @@ from refdoc.classifiers import (
     train,
 )
 from refdoc.corpus import RefactoringType as RT
-from refdoc.errors import EmptyFeatures, InsufficientClass, NonFinite, SingleClass
+from refdoc.errors import (EmptyFeatures, InsufficientClass, NonFinite,
+                           SingleClass, UnknownLabel)
 from refdoc.features import (
     build_vocabulary,
     count_ngrams,
@@ -203,6 +204,45 @@ def test_single_class_rejected():
                                    RT.MOVE_METHOD], k_select=10)
     with pytest.raises(SingleClass):
         train(ModelConfig(algorithm="nb"), X, labels, vocab)
+
+
+def none_corpus():
+    """(labels, vocab, X) of six docs: two each of ExtractMethod,
+    RenameMethod and None."""
+    docs = [["extract", "method"], ["extract", "code"], ["rename", "method"],
+            ["rename", "name"], ["fixed", "typo"], ["fixed", "build"]]
+    labels = [RT.EXTRACT_METHOD] * 2 + [RT.RENAME_METHOD] * 2 + [RT.NONE] * 2
+    return labels, *unigram_rows(docs, labels, k_select=100)
+
+
+def test_unlabeled_row_rejected():
+    labels, vocab, X = none_corpus()
+    labels[-1] = None
+    with pytest.raises(UnknownLabel, match="labels on every record"):
+        train(ModelConfig(algorithm="nb", include_none=True), X, labels, vocab)
+
+
+def test_none_rows_need_include_none():
+    labels, vocab, X = none_corpus()
+    with pytest.raises(UnknownLabel, match="pass include_none"):
+        train(ModelConfig(algorithm="nb"), X, labels, vocab)
+    model = train(ModelConfig(algorithm="nb", include_none=True), X, labels,
+                  vocab)
+    assert RT.NONE in model.class_order
+
+
+def test_include_none_needs_none_rows():
+    _, labels, vocab, X = toy_corpus()
+    with pytest.raises(UnknownLabel, match="requires None-labeled rows"):
+        train(ModelConfig(algorithm="nb", include_none=True), X, labels, vocab)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-long"])
+def test_one_label_per_row(extra):
+    labels, vocab, X = none_corpus()
+    labels = (labels + [RT.RENAME_METHOD])[:len(labels) + extra]
+    with pytest.raises(ValueError, match=f"6 rows but {6 + extra} labels"):
+        train(ModelConfig(algorithm="nb", include_none=True), X, labels, vocab)
 
 
 def test_class_with_one_sample_rejected():

@@ -69,6 +69,36 @@ def not_utf8(path):
     return str(path)
 
 
+def unlabeled_corpus(path):
+    """A JSONL corpus of two records with no label, as a string path."""
+    path.write_text("".join(json.dumps({"id": str(i), "message": message})
+                            + "\n" for i, message in
+                            enumerate(["renamed the method", "moved it"])))
+    return str(path)
+
+
+def _repeat_first_class(payload):
+    payload["class_order"][1] = payload["class_order"][0]
+
+
+def _repeat_selected_ngram(payload):
+    vocab = payload["vocabulary"]
+    first, second = vocab["selected"][:2]
+    vocab["ngrams"][second] = vocab["ngrams"][first]
+
+
+def predict_with(edit):
+    """A hostile case's argv: predict with the case's model file after
+    edit has damaged its payload."""
+    def argv(p):
+        payload = json.loads(Path(p["model"]).read_text())
+        edit(payload)
+        path = p["tmp"] / "edited.json"
+        path.write_text(json.dumps(payload))
+        return ["predict", "renamed the method", "--model", str(path)]
+    return argv
+
+
 # case -> (argv from the case's paths, expected text in stderr)
 HOSTILE = {
     "serve-port-out-of-range": (lambda p: [
@@ -94,6 +124,19 @@ HOSTILE = {
         not_utf8(p["tmp"] / "latin.json")], "not UTF-8"),
     "ingest-corpus-not-utf8": (lambda p: [
         "ingest", not_utf8(p["tmp"] / "latin.jsonl")], "not UTF-8"),
+    "predict-empty-class-order": (predict_with(
+        lambda m: m.update(class_order=[])), "class_order"),
+    "predict-one-class-order": (predict_with(
+        lambda m: m.update(class_order=m["class_order"][:1])), "class_order"),
+    "predict-repeated-class": (predict_with(_repeat_first_class),
+                               "class_order"),
+    "predict-reversed-class-order": (predict_with(
+        lambda m: m["class_order"].reverse()), "class_order"),
+    "predict-repeated-ngram": (predict_with(_repeat_selected_ngram),
+                               "ascending order"),
+    "baseline-unlabeled-corpus": (lambda p: [
+        "baseline", "--corpus", unlabeled_corpus(p["tmp"] / "bare.jsonl")],
+        "labeled records"),
 }
 
 

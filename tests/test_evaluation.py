@@ -9,7 +9,7 @@ from refdoc import pipeline, textprep, workers
 from refdoc.classifiers import ModelConfig
 from refdoc.corpus import CommitRecord, Dataset, METHOD_TYPES
 from refdoc.corpus import RefactoringType as RT
-from refdoc.errors import InsufficientClass, UnknownLabel
+from refdoc.errors import EmptyCorpus, InsufficientClass, UnknownLabel
 from refdoc.evaluation import (
     ConfusionMatrix,
     baseline_report,
@@ -213,6 +213,13 @@ def test_baseline_report_no_match_goes_to_none_column(synthetic_dataset):
     # macro averages only classes with true instances
     mean_f = sum(report.per_class[c].f_measure for c in METHOD_TYPES) / 6
     assert report.macro.f_measure == pytest.approx(mean_f, abs=1e-12)
+
+
+def test_baseline_report_needs_a_labeled_record():
+    unlabeled = Dataset([CommitRecord(id="1", project="p",
+                                      message="renamed the method")])
+    with pytest.raises(EmptyCorpus, match="labeled records"):
+        baseline_report(unlabeled)
 
 
 def per_fold_fit_report(ds, config):

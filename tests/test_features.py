@@ -9,7 +9,7 @@ from scipy import sparse
 
 from refdoc import classifiers, features, pipeline
 from refdoc.corpus import RefactoringType as RT
-from refdoc.errors import EmptyCorpus, SingleClass
+from refdoc.errors import EmptyCorpus
 from refdoc.features import (
     FISHER_EPS,
     count_ngrams,
@@ -173,12 +173,6 @@ def test_fisher_matches_brute_force_on_toy_corpus():
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpus):
         build_vocabulary([], [], n_max=1, k_select=5)
-
-
-def test_single_class_rejected():
-    with pytest.raises(SingleClass):
-        build_vocabulary([["a"], ["b"]], [RT.MOVE_METHOD, RT.MOVE_METHOD],
-                         n_max=1, k_select=5)
 
 
 def test_idf_monotone_in_document_frequency():
@@ -397,7 +391,7 @@ def test_selection_equals_the_python_sort_ranking(seed):
 def reference_vocabulary_from_counts(doc_counts, labels, n_max, k_select):
     """Index every n-gram of the count dicts, weight it, rank-select top k.
 
-    Requires at least two documents and two distinct labels. idf uses the
+    Requires one label per document and at least one document. idf uses the
     smoothed formula ln((1+N)/(1+df)) + 1, so idf >= 1 everywhere and a
     feature present in every document scores exactly 1.0. df and the
     Fisher scores are both taken from one count matrix of the dicts.
@@ -410,8 +404,6 @@ def reference_vocabulary_from_counts(doc_counts, labels, n_max, k_select):
         raise EmptyCorpus("no documents")
     if len(doc_counts) != len(labels):
         raise ValueError("docs and labels length mismatch")
-    if len(set(labels)) < 2:
-        raise SingleClass("need at least two distinct labels")
 
     ngrams = sorted(set().union(*doc_counts))
     if not ngrams:

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refdoc import pipeline
-from refdoc.classifiers import ModelConfig
+from refdoc.classifiers import ALGORITHMS, ModelConfig
+from refdoc.corpus import RefactoringType
 from refdoc.errors import ModelFormatError
 from refdoc.model_io import FORMAT_VERSION, load_model, save_model
 from refdoc.synthetic import FILLERS, NOISE_WORDS, generate_corpus
@@ -304,6 +306,64 @@ def _infinite_leaf_value(p):
     tree["value"][tree["feature"].index(-1)] = float("inf")
 
 
+def _empty_class_order(p):
+    p["class_order"] = []
+
+
+def _one_class_order(p):
+    p["class_order"] = p["class_order"][:1]
+
+
+def _repeated_class(p):
+    order = p["class_order"]
+    order[1] = order[0]
+
+
+def _reversed_class_order(p):
+    p["class_order"].reverse()
+
+
+def _unknown_class(p):
+    p["class_order"][0] = "RenameClass"
+
+
+def _repeated_ngram(p):
+    vocab = p["vocabulary"]
+    ngrams, selected = vocab["ngrams"], vocab["selected"]
+    ngrams[selected[1]] = ngrams[selected[0]]
+
+
+def _swapped_ngrams(p):
+    ngrams = p["vocabulary"]["ngrams"]
+    ngrams[0], ngrams[1] = ngrams[1], ngrams[0]
+
+
+def _max_leaves_2(p):
+    p["hyperparameters"]["max_leaves"] = 2
+
+
+def _max_depth_1(p):
+    p["hyperparameters"]["max_depth"] = 1
+
+
+def caterpillar(splits):
+    """A tree of splits on feature 0 whose right child is the next split:
+    splits + 1 leaves, depth splits."""
+    n = 2 * splits + 1
+    tree = {"feature": [-1] * n, "threshold": [0.0] * n, "left": [-1] * n,
+            "right": [-1] * n, "value": [0.0] * n}
+    for node in range(0, n - 1, 2):
+        tree["feature"][node] = 0
+        tree["threshold"][node] = node / n
+        tree["left"][node], tree["right"][node] = node + 1, node + 2
+        tree["value"][node + 1] = 0.5
+    return tree
+
+
+def _caterpillar_tree(p):
+    p["parameters"]["trees"][0][0] = caterpillar(20_000)
+
+
 @pytest.fixture(scope="module")
 def logreg_model(small_dataset):
     return pipeline.fit(small_dataset, ModelConfig(algorithm="logreg"))
@@ -344,6 +404,12 @@ _DAMAGE = [
     ("gbt", _child_with_two_parents), ("gbt", _orphan_node),
     ("rf", _child_with_two_parents), ("rf", _orphan_node),
     ("rf", _one_tree_too_many), ("rf", _one_tree_short),
+    ("nb", _empty_class_order), ("nb", _one_class_order),
+    ("nb", _repeated_class), ("nb", _reversed_class_order),
+    ("nb", _unknown_class), ("rf", _reversed_class_order),
+    ("nb", _repeated_ngram), ("nb", _swapped_ngrams),
+    ("gbt", _repeated_ngram), ("gbt", _swapped_ngrams),
+    ("gbt", _max_leaves_2), ("gbt", _caterpillar_tree), ("rf", _max_depth_1),
 ]
 
 
@@ -463,5 +529,122 @@ def test_mutated_children_load_as_proper_trees_or_are_rejected(
             for row in rows:
                 assert estimator.flat.leaf_values(row).tolist() == [
                     t.predict_row(row) for t in trees]
+        assert time.perf_counter() - start < 1.0
+    check()
+
+
+def test_caterpillar_tree_is_rejected_quickly(small_gbt_text, tmp_path):
+    # 20,001 leaves under max_leaves 20: a walk of depth 20,000 per row
+    payload = json.loads(small_gbt_text)
+    payload["hyperparameters"]["max_leaves"] = 20
+    payload["parameters"]["trees"][0][0] = caterpillar(20_000)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError, match="max_leaves = 20"):
+        load_model(path)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_logreg_scores_stay_finite_when_every_sigmoid_underflows(
+        logreg_model, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(logreg_model, path)
+    payload = json.loads(path.read_text())
+    payload["parameters"]["bias"] = [-800.0] * len(payload["class_order"])
+    path.write_text(json.dumps(payload))
+    model = load_model(path)
+    label, scores = pipeline.predict_message(model, "renamed the method")
+    values = list(scores.values())
+    assert all(map(math.isfinite, values))
+    assert sum(values) == pytest.approx(1.0)
+    assert label in model.class_order
+
+
+@pytest.fixture(scope="module")
+def small_model_texts(small_dataset, small_gbt_text, logreg_model,
+                      tmp_path_factory):
+    """algorithm -> the text of a small model file of it."""
+    models = {"nb": pipeline.fit(small_dataset, ModelConfig(algorithm="nb")),
+              "logreg": logreg_model,
+              "rf": pipeline.fit(small_dataset, ModelConfig(
+                  algorithm="rf", hyperparameters={"n_estimators": 2}))}
+    texts = {"gbt": small_gbt_text}
+    for algo, model in models.items():
+        path = tmp_path_factory.mktemp(algo) / "model.json"
+        save_model(model, path)
+        texts[algo] = path.read_text()
+    return texts
+
+
+_CLASS_NAMES = [t.value for t in RefactoringType] + ["RenameClass"]
+_SCALED = ("f0", "bias", "weights", "log_prior", "log_theta")
+
+
+def _mutate(payload, kind, a, b, factor, name):
+    """Apply one mutation; a and b pick the entries, modulo their count."""
+    order = payload["class_order"]
+    if kind in ("drop", "repeat", "swap", "rename"):
+        if not order:
+            return
+        i, j = a % len(order), b % len(order)
+        if kind == "drop":
+            del order[i]
+        elif kind == "repeat":
+            order.insert(j, order[i])
+        elif kind == "swap":
+            order[i], order[j] = order[j], order[i]
+        else:
+            order[i] = name
+    elif kind == "scale":
+        params = payload["parameters"]
+        keys = [k for k in _SCALED if k in params]
+        if not keys:  # rf has no real-valued parameters to scale
+            return
+        values = params[keys[a % len(keys)]]
+        if isinstance(values[0], list):
+            values = values[b % len(values)]
+        values[b % len(values)] *= factor
+    else:  # copy or swap vocabulary n-grams or selected ids
+        action, field = kind.split("-")
+        seq = payload["vocabulary"][field]
+        i, j = a % len(seq), b % len(seq)
+        if action == "copy":
+            seq[j] = seq[i]
+        else:
+            seq[i], seq[j] = seq[j], seq[i]
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(["drop", "repeat", "swap", "rename", "scale",
+                     "copy-ngrams", "swap-ngrams", "copy-selected",
+                     "swap-selected"]),
+    st.integers(0, 10**6), st.integers(0, 10**6),
+    st.floats(-1e3, 1e3), st.sampled_from(_CLASS_NAMES))
+
+
+def test_mutated_model_files_are_rejected_or_predict_finite_scores(
+        small_model_texts, tmp_path):
+    path = tmp_path / "model.json"
+    messages = ["renamed the method", "moved helper into the common class"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALGORITHMS),
+           st.lists(_MUTATION, min_size=1, max_size=3))
+    def check(algo, mutations):
+        payload = json.loads(small_model_texts[algo])
+        for mutation in mutations:
+            _mutate(payload, *mutation)
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            pass
+        else:
+            for message in messages:
+                label, scores = pipeline.predict_message(model, message)
+                assert label in model.class_order
+                assert all(map(math.isfinite, scores.values()))
         assert time.perf_counter() - start < 1.0
     check()

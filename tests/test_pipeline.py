@@ -1,8 +1,13 @@
 """CV and the inconsistency report share pipeline.fit_counts and
 predict_counts, and each message is counted once."""
 
+import pytest
+
 from refdoc import evaluation, features, inconsistency, pipeline, workers
 from refdoc.classifiers import ModelConfig
+from refdoc.corpus import Dataset
+from refdoc.corpus import RefactoringType as RT
+from refdoc.errors import SingleClass
 from refdoc.textprep import preprocess
 
 
@@ -50,3 +55,9 @@ def test_fit_counts_each_document_once(monkeypatch, small_dataset):
     docs = [preprocess(r.message) for r in small_dataset]
     assert [args[0] for args in counted] == docs
     assert [args[0] for args in extracted] == docs
+
+
+def test_fit_rejects_a_single_class(small_dataset):
+    moves = Dataset(r for r in small_dataset if r.label is RT.MOVE_METHOD)
+    with pytest.raises(SingleClass):
+        pipeline.fit(moves, ModelConfig(algorithm="nb"))

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from refdoc import service
+from refdoc import pipeline, service
+from refdoc.classifiers import ModelConfig
 from refdoc.model_io import save_model
 from refdoc.service import PredictServer
 
@@ -72,6 +73,17 @@ def test_predict_extract_helper(server):
     assert abs(sum(payload["scores"].values()) - 1.0) <= 1e-9
     assert payload["baseline"] == "ExtractMethod"
     assert "ExtractMethod" in payload["patterns"]
+
+
+def test_logreg_with_every_sigmoid_underflowing_answers_finite_scores(
+        small_dataset):
+    model = pipeline.fit(small_dataset, ModelConfig(algorithm="logreg"))
+    model.estimator.bias[:] = -800.0  # finite, but every sigmoid is 0
+    with serving(model) as port:
+        status, body = post(f"http://127.0.0.1:{port}", {"message": "renamed"})
+    assert status == 200
+    assert b"NaN" not in body
+    assert sum(json.loads(body)["scores"].values()) == pytest.approx(1.0)
 
 
 def test_baseline_field_null_when_no_stem(server):
