@@ -33,9 +33,18 @@ class NaiveBayes:
         return self
 
     def score_row(self, row):
-        """Posterior over classes for one dense feature row."""
-        log_joint = self.log_prior + self.log_theta @ row
-        shifted = log_joint - log_joint.max()
+        """Posterior over classes for one dense feature row.
+
+        A loaded file's finite log-probabilities can still overflow the
+        log-joint; an infinite one reads as the largest float of its sign
+        and an undefined (NaN) one as the lowest, so the scores stay
+        finite. Finite log-joints pass through unchanged.
+        """
+        big = np.finfo(np.float64).max
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_joint = np.nan_to_num(self.log_prior + self.log_theta @ row,
+                                      nan=-big, posinf=big, neginf=-big)
+            shifted = log_joint - log_joint.max()
         p = np.exp(shifted)
         return p / p.sum()
 

@@ -96,7 +96,7 @@ class PatternCatalog:
                         node = node.edges.setdefault(tok, _TrieNode())
                     node.ends.append((order, cls, text))
                 order += 1
-        self._prefix_lengths = sorted(prefix_lengths)
+        self._prefix_lengths = tuple(sorted(prefix_lengths))
 
     @classmethod
     def from_text(cls, text: str) -> "PatternCatalog":
@@ -130,12 +130,13 @@ def load_catalog() -> PatternCatalog:
     return PatternCatalog.from_text(textprep.data_text("pattern_catalog.txt"))
 
 
+@lru_cache(maxsize=textprep.WORD_MEMO_SIZE)
 def _edge_keys(word, prefix_lengths):
     """Every trie edge key that can match word: its word key, _ANY, and
-    its prefixes of the lengths the catalog's prefixes have."""
-    return [("word", word), _ANY] + [("prefix", word[:k])
-                                     for k in prefix_lengths
-                                     if k <= len(word)]
+    its prefixes of the lengths (a tuple) the catalog's prefixes have."""
+    return (("word", word), _ANY) + tuple(("prefix", word[:k])
+                                          for k in prefix_lengths
+                                          if k <= len(word))
 
 
 def match_patterns(message: str, catalog: PatternCatalog = None) -> Dict:

@@ -15,6 +15,10 @@ from importlib import resources
 
 VOWELS = frozenset("aeiou")
 
+#: Words each per-word memo holds (lemmatize here, terms._edge_keys). A
+#: fixed bound, so a server fed ever new words keeps a fixed memory.
+WORD_MEMO_SIZE = 4096
+
 _URL_RE = re.compile(r"\b[a-z][a-z0-9+.-]*://\S+|\bwww\.\S+", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"\S+@\S+")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
@@ -74,6 +78,8 @@ def strip_urls_and_emails(text: str) -> str:
 def expand_contractions(text: str) -> str:
     """Expand verb contractions in lowercased text (don't -> do not)."""
     text = text.replace("\u2019", "'")
+    if "'" not in text:  # every contraction pattern has one
+        return text
     for pattern, repl in _SPECIAL_CONTRACTIONS:
         text = pattern.sub(repl, text)
     for pattern, repl in _GENERIC_CONTRACTIONS:
@@ -118,6 +124,7 @@ def _restore_stem(stem: str) -> str:
     return stem
 
 
+@lru_cache(maxsize=WORD_MEMO_SIZE)
 def lemmatize(token: str) -> str:
     """Reduce a lowercase alphabetic token to its base form.
 

@@ -9,8 +9,8 @@ of them. Forest trees, fitted in worker processes too, grow depth-first
 on bootstrap replicates, scoring a fixed number of random (feature,
 threshold) candidates per node. All randomness is pre-drawn from
 per-tree generator streams spawned from (seed, tree index), so training
-is deterministic. A boosted model scores a row through a FlatEnsemble of
-its trees, which walks all of them at once.
+is deterministic. A boosted model scores a row through a QuickScorer of
+its trees, which visits only the splits of the row's nonzero features.
 """
 
 from __future__ import annotations
@@ -209,56 +209,125 @@ def fit_regression_tree(csc, g, h, max_leaves, min_leaf):
     return trees, preds
 
 
-class FlatEnsemble:
-    """The trees of a boosted model in contiguous arrays, walked at once.
+class QuickScorer:
+    """QuickScorer (Lucchese et al., SIGIR 2015) over the trees of a
+    boosted model, for sparse rows.
 
-    Trees are stored class-major in tree order, with absolute node ids.
-    Node i's left child, taken when row[feature[i]] <= threshold[i] as in
-    Tree.predict_row, is child[2i + 1], and its right child child[2i]. A
-    leaf's children are the leaf itself, so a walk that has reached its
-    leaf stays there, and depth steps take every tree to its leaf.
+    Each tree's leaves are numbered left to right. A split whose test
+    fails (row[feature] > threshold, so Tree.predict_row goes right)
+    rules out the leaves of its left subtree: its mask, W 64-bit words,
+    has their bits clear. A tree's exit leaf is the lowest bit left set
+    once the masks of its failed splits are ANDed together; its rightmost
+    leaf is never cleared, so one always is. Splits with threshold >= 0
+    are grouped by feature and sorted by threshold behind ptr, since a
+    feature that reads 0 fails none of them; the splits with a negative
+    threshold follow, apart, and are tested against the dense row.
     """
 
-    def __init__(self, class_trees):
+    def __init__(self, class_trees, n_features):
+        """class_trees: per class, its trees; features < n_features."""
         trees = [tree for per_class in class_trees for tree in per_class]
-        sizes = np.array([len(tree.feature) for tree in trees], dtype=np.int64)
-        self.roots = np.cumsum(sizes) - sizes
-        self.feature = _concat(trees, "feature", np.int64)
-        self.threshold = _concat(trees, "threshold", np.float64)
-        self.value = _concat(trees, "value", np.float64)
-        own = np.arange(self.feature.size, dtype=np.int64)
-        offset = np.repeat(self.roots, sizes)
-        leaf = self.feature < 0
-        self.child = np.empty(2 * own.size, dtype=np.int64)
-        self.child[0::2] = np.where(leaf, own,
-                                    _concat(trees, "right", np.int64) + offset)
-        self.child[1::2] = np.where(leaf, own,
-                                    _concat(trees, "left", np.int64) + offset)
-        self.depth = 0  # split levels of the deepest tree
-        splits = self.roots[~leaf[self.roots]]
-        while splits.size:
-            self.depth += 1
-            below = np.concatenate((self.child[2 * splits],
-                                    self.child[2 * splits + 1]))
-            splits = below[~leaf[below]]
+        (tree_leaves, self.leaf_value, feature, threshold, tree, lo,
+         hi) = _numbered_leaves(trees)
+        self.words = -(-int(tree_leaves.max()) // 64)  # W, from the trees
+        # each tree's leaf values, in leaf order, from leaf_start[tree] on
+        self.leaf_start = np.cumsum(tree_leaves) - tree_leaves
+        negative = threshold < 0.0
+        # by feature, then threshold; the negative thresholds last
+        order = np.lexsort((threshold, feature, negative))
+        n_sparse = order.size - int(negative.sum())
+        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(
+            feature[order[:n_sparse]], minlength=n_features))))
+        self.negative_feature = feature[order[n_sparse:]]
+        self.threshold = threshold[order]
+        self.tree = tree[order]
+        word_start = 64 * np.arange(self.words)
+        self.mask = (~_low_bits(np.clip(hi[order, None] - word_start, 0, 64))
+                     | _low_bits(np.clip(lo[order, None] - word_start, 0, 64)))
 
     def leaf_values(self, row):
-        """The leaf value each tree gives one dense row, in tree order.
+        """The leaf value each tree gives one dense row, in tree order."""
+        feats = np.flatnonzero(row != 0)  # nonzero scans bools ~4x faster
+        start, stop = self.ptr[feats], self.ptr[feats + 1]
+        count = stop - start
+        # the splits of the row's nonzero features, feature by feature
+        span = (np.repeat(start - np.cumsum(count) + count, count)
+                + np.arange(count.sum()))
+        failed = span[self.threshold[span] < np.repeat(row[feats], count)]
+        if self.negative_feature.size:
+            negative = self.ptr[-1] + np.arange(self.negative_feature.size)
+            failed = np.concatenate((failed, negative[
+                row[self.negative_feature] > self.threshold[negative]]))
+        bits = np.full((self.leaf_start.size, self.words), _ALL_BITS)
+        np.bitwise_and.at(bits, self.tree[failed], self.mask[failed])
+        # each word's lowest set bit alone, 2**k, and so its k: a power of
+        # two converts to float64 exactly, and frexp(2.0**k) = (0.5, k + 1)
+        lowest = bits & (~bits + np.uint64(1))
+        zeros = np.frexp(lowest.astype(np.float64))[1] - 1  # -1 in a 0 word
+        # the last word is never 0: it holds the rightmost leaf or no leaf
+        leaf = zeros[:, -1]
+        for w in range(self.words - 2, -1, -1):
+            leaf = np.where(zeros[:, w] >= 0, zeros[:, w], 64 + leaf)
+        return self.leaf_value[self.leaf_start + leaf]
 
-        Every tree takes one step per level. At a leaf, feature -1 reads
-        the row's last value, and the step stays at the leaf either way.
-        """
-        node = self.roots
-        for _ in range(self.depth):
-            goes_left = row[self.feature[node]] <= self.threshold[node]
-            node = self.child[2 * node + goes_left]
-        return self.value[node]
+
+_ALL_BITS = np.uint64(2**64 - 1)
+
+
+def _numbered_leaves(trees):
+    """Number each tree's leaves left to right, one level of every tree at
+    a time, bottom-up for the leaf count below each node, then top-down
+    for the number of its first leaf.
+
+    Returns each tree's leaf count, the leaf values in leaf order, tree
+    after tree, and per split its feature, threshold, tree, lo and hi,
+    where leaves lo up to, not including, hi make its left subtree. Node
+    ids are int32: the temporaries here set a server's peak memory.
+    """
+    sizes = np.array([len(tree.feature) for tree in trees], dtype=np.int32)
+    roots = np.cumsum(sizes, dtype=np.int32) - sizes
+    tree_of = np.repeat(np.arange(len(trees), dtype=np.int32), sizes)
+    feature = _concat(trees, "feature", np.int32)
+    left = _concat(trees, "left", np.int32) + roots[tree_of]
+    right = _concat(trees, "right", np.int32) + roots[tree_of]
+    is_split = feature >= 0
+    levels, nodes = [], roots  # the splits of each level, root level first
+    while nodes.size:
+        nodes = nodes[is_split[nodes]]
+        levels.append(nodes)
+        nodes = np.concatenate((left[nodes], right[nodes]))
+    leaves = (~is_split).astype(np.int32)  # the leaves below each node
+    for nodes in reversed(levels):
+        leaves[nodes] = leaves[left[nodes]] + leaves[right[nodes]]
+    first = np.zeros(feature.size, dtype=np.int32)  # its first leaf's number
+    for nodes in levels:
+        first[left[nodes]] = first[nodes]
+        first[right[nodes]] = first[nodes] + leaves[left[nodes]]
+
+    tree_leaves = leaves[roots]
+    leaf = np.flatnonzero(~is_split)
+    values = np.empty(leaf.size, dtype=np.float64)
+    values[(np.cumsum(tree_leaves) - tree_leaves)[tree_of[leaf]]
+           + first[leaf]] = _concat(trees, "value", np.float64)[leaf]
+    split = np.flatnonzero(is_split)
+    lo = first[split]
+    return (tree_leaves, values, feature[split],
+            _concat(trees, "threshold", np.float64)[split], tree_of[split],
+            lo, lo + leaves[left[split]])
 
 
 def _concat(trees, name, dtype):
     """One array of the named Tree list of every tree, in order."""
     return np.fromiter(itertools.chain.from_iterable(
-        getattr(tree, name) for tree in trees), dtype=dtype)
+        getattr(tree, name) for tree in trees), dtype=dtype,
+        count=sum(len(tree.feature) for tree in trees))
+
+
+def _low_bits(k):
+    """uint64 words whose lowest k bits are set, for 0 <= k <= 64."""
+    k = k.astype(np.uint64)
+    one = np.uint64(1)
+    return np.where(k == 64, _ALL_BITS, (one << np.minimum(k, 63)) - one)
 
 
 class BoostedClassifier:
@@ -272,7 +341,7 @@ class BoostedClassifier:
         self.learning_rate = float(learning_rate)
         self.f0 = None          # per class
         self.trees = None       # per class list of Tree
-        self.flat = None        # FlatEnsemble of self.trees, for scoring
+        self.scorer = None      # QuickScorer of self.trees
 
     def fit(self, X_csr, y_idx, n_classes):
         csc = build_sorted_csc(X_csr)
@@ -286,7 +355,7 @@ class BoostedClassifier:
             lambda classes: self._boost(csc, [ys[c] for c in classes],
                                         [self.f0[c] for c in classes]),
             range(n_classes))
-        self.flat = FlatEnsemble(self.trees)
+        self.scorer = QuickScorer(self.trees, X_csr.shape[1])
         return self
 
     def _boost(self, csc, ys, f0s):
@@ -322,7 +391,7 @@ class BoostedClassifier:
         each margin equals f0 + lr*v_1 + ... + lr*v_T summed tree by tree,
         bit for bit.
         """
-        steps = self.learning_rate * self.flat.leaf_values(row)
+        steps = self.learning_rate * self.scorer.leaf_values(row)
         margins = np.cumsum(np.column_stack(
             (self.f0, steps.reshape(len(self.f0), self.n_trees))), axis=1)
         return sigmoid(margins[:, -1])
@@ -350,7 +419,7 @@ class BoostedClassifier:
                              f"{self.max_leaves} leaves")
         if not all(math.isfinite(v) for v in self.f0):
             raise ValueError("boosted model f0 must be finite")
-        self.flat = FlatEnsemble(self.trees)
+        self.scorer = QuickScorer(self.trees, n_features)
         return self
 
 

@@ -1,5 +1,6 @@
-"""BoostedClassifier.score_row walks a FlatEnsemble; its scores must equal
-the per-tree loop it replaced bit for bit."""
+"""BoostedClassifier.score_row scores through a QuickScorer. Its scores
+must equal the per-tree loop of the first boosted scorer bit for bit, and
+its leaf values those of Tree.predict_row, tree by tree."""
 
 import importlib.util
 import time
@@ -13,13 +14,13 @@ from hypothesis import strategies as st
 from refdoc import features, pipeline
 from refdoc.classifiers import ModelConfig, dense_row, make_estimator
 from refdoc.model_io import load_model, save_model
-from refdoc.trees import sigmoid
+from refdoc.trees import QuickScorer, Tree, sigmoid
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def reference_score_row(model, row):
-    """BoostedClassifier.score_row as it was before the flat ensemble,
+    """BoostedClassifier.score_row as it was before any flat scorer,
     verbatim: one tree walk at a time, margins summed in tree order."""
     margins = []
     for f0, class_trees in zip(model.f0, model.trees):
@@ -120,14 +121,78 @@ def test_single_leaf_trees():
     # class 0: a one-leaf tree then a split; class 1: a split then a leaf
     estimator = boosted(2).load_dict(
         {"f0": [0.1, -0.3], "trees": [[LEAF, SPLIT], [SPLIT, LEAF]]}, 2, 2)
-    flat = estimator.flat
-    assert flat.roots.tolist() == [0, 1, 4, 7]
-    # (right, left) per node; a leaf's children are itself
-    assert flat.child.tolist() == [0, 0, 3, 2, 2, 2, 3, 3,
-                                   6, 5, 5, 5, 6, 6, 7, 7]
-    assert flat.depth == 1
+    scorer = estimator.scorer
+    assert scorer.words == 1
+    assert scorer.leaf_start.tolist() == [0, 1, 3, 5]
+    assert scorer.leaf_value.tolist() == [0.5, -1.5, 2.0, -1.5, 2.0, 0.5]
+    # both splits test feature 1; failing, each rules out its leaf 0
+    assert scorer.ptr.tolist() == [0, 0, 2]
+    assert scorer.tree.tolist() == [1, 2]
+    assert scorer.mask.tolist() == [[2**64 - 2]] * 2
     assert_scores_match(estimator, [np.array(r) for r in
                                     ([0.0, 0.0], [0.0, 0.25], [0.0, 0.3])])
+
+
+def test_negative_threshold_splits_test_absent_features():
+    # an absent feature reads 0 > -0.5, so the row goes right
+    split = dict(SPLIT, threshold=[-0.5, 0.0, 0.0])
+    estimator = boosted(1).load_dict({"f0": [0.1], "trees": [[split]]}, 1, 2)
+    assert estimator.scorer.ptr.tolist() == [0, 0, 0]
+    assert estimator.scorer.negative_feature.tolist() == [1]
+    for row, leaf in (([0.0, 0.0], 2.0), ([0.0, -0.5], -1.5),
+                      ([0.0, -0.7], -1.5), ([0.3, 0.2], 2.0)):
+        assert estimator.scorer.leaf_values(np.array(row)).tolist() == [leaf]
+    assert_scores_match(estimator, [np.array([0.0, 0.0]),
+                                    np.array([0.0, -0.7])])
+
+
+GRID = [-1.0, -0.25, 0.0, 0.25, 0.5, 1.0]  # thresholds, and row values
+
+
+def random_tree(rng, n_splits, n_features):
+    """A tree grown by splitting a random leaf n_splits times, on
+    thresholds from GRID; leaf values are distinct."""
+    tree = Tree()
+    leaves = [tree.add_leaf(float(rng.normal()))]
+    for _ in range(n_splits):
+        node = leaves.pop(int(rng.integers(len(leaves))))
+        left = tree.add_leaf(float(rng.normal()))
+        right = tree.add_leaf(float(rng.normal()))
+        tree.make_split(node, int(rng.integers(n_features)),
+                        float(rng.choice(GRID)), left, right)
+        leaves += [left, right]
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 140), min_size=1, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_leaf_values_equal_predict_row_for_every_tree(n_splits, seed):
+    """Single-leaf trees, trees of over 64 leaves (two or three mask
+    words), negative thresholds, and rows with values on a threshold, with
+    explicit zeros and with -0.0."""
+    n_features = 6
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, n, n_features) for n in n_splits]
+    scorer = QuickScorer([trees], n_features)
+    assert scorer.words == -(-(max(n_splits) + 1) // 64)
+    rows = rng.choice(GRID + [-0.0, 0.1, 0.7], size=(8, n_features))
+    rows[rng.random(rows.shape) < 0.4] = 0.0
+    for row in rows:
+        assert scorer.leaf_values(row).tolist() == [
+            tree.predict_row(row) for tree in trees]
+
+
+def test_trees_of_more_than_64_leaves(synthetic_dataset):
+    model = pipeline.fit(synthetic_dataset, ModelConfig(
+        algorithm="gbt", hyperparameters={
+            "n_trees": 2, "max_leaves": 100, "min_samples_per_leaf": 1}))
+    estimator = model.estimator
+    assert max(len(t.feature) for class_trees in estimator.trees
+               for t in class_trees) > 2 * 64 - 1
+    assert estimator.scorer.words == 2
+    assert_scores_match(estimator, [message_row(model, r.message)
+                                    for r in synthetic_dataset])
 
 
 @pytest.mark.parametrize("trees", [

@@ -527,7 +527,7 @@ def test_mutated_children_load_as_proper_trees_or_are_rejected(
             trees = [t for class_trees in estimator.trees for t in class_trees]
             assert all(map(_is_proper, trees))
             for row in rows:
-                assert estimator.flat.leaf_values(row).tolist() == [
+                assert estimator.scorer.leaf_values(row).tolist() == [
                     t.predict_row(row) for t in trees]
         assert time.perf_counter() - start < 1.0
     check()
@@ -544,6 +544,53 @@ def test_caterpillar_tree_is_rejected_quickly(small_gbt_text, tmp_path):
     with pytest.raises(ModelFormatError, match="max_leaves = 20"):
         load_model(path)
     assert time.perf_counter() - start < 1.0
+
+
+def test_caterpillar_tree_under_a_large_max_leaves_scores_quickly(
+        small_gbt_text, tmp_path):
+    # 3,000 leaves under max_leaves 3,000: 2,999 levels, 47 mask words
+    payload = json.loads(small_gbt_text)
+    payload["hyperparameters"]["max_leaves"] = 3000
+    payload["parameters"]["trees"][0][0] = caterpillar(2999)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    n_features = len(payload["vocabulary"]["selected"])
+    rows = np.zeros((4, n_features))
+    rows[:, 0] = [0.0, 0.3, 0.7, 2.0]  # the caterpillar splits on feature 0
+    start = time.perf_counter()
+    estimator = load_model(path).estimator
+    assert estimator.scorer.words == 47
+    trees = [t for class_trees in estimator.trees for t in class_trees]
+    for row in rows:
+        assert estimator.scorer.leaf_values(row).tolist() == [
+            t.predict_row(row) for t in trees]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mask_width_follows_the_trees_not_max_leaves(small_gbt_text,
+                                                      tmp_path):
+    payload = json.loads(small_gbt_text)
+    payload["hyperparameters"]["max_leaves"] = 1_000_000
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    assert load_model(path).estimator.scorer.words == 1
+
+
+def test_nb_log_theta_at_the_float_limit_scores_finite(small_model_texts,
+                                                       tmp_path):
+    # log_prior + log_theta @ row overflows to -inf for every class
+    payload = json.loads(small_model_texts["nb"])
+    theta = payload["parameters"]["log_theta"]
+    payload["parameters"]["log_theta"] = [[-1e308] * len(r) for r in theta]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    model = load_model(path)
+    label, scores = pipeline.predict_message(
+        model, "moved helper into the common class")
+    values = list(scores.values())
+    assert all(map(math.isfinite, values))
+    assert sum(values) == pytest.approx(1.0)
+    assert label in model.class_order
 
 
 def test_logreg_scores_stay_finite_when_every_sigmoid_underflows(
@@ -620,7 +667,7 @@ _MUTATION = st.tuples(
                      "copy-ngrams", "swap-ngrams", "copy-selected",
                      "swap-selected"]),
     st.integers(0, 10**6), st.integers(0, 10**6),
-    st.floats(-1e3, 1e3), st.sampled_from(_CLASS_NAMES))
+    st.floats(-1e308, 1e308), st.sampled_from(_CLASS_NAMES))
 
 
 def test_mutated_model_files_are_rejected_or_predict_finite_scores(

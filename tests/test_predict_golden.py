@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from refdoc import pipeline
+from refdoc import pipeline, terms, textprep
 from refdoc.classifiers import ALGORITHMS, ModelConfig
 from refdoc.service import predict_payload
 from refdoc.synthetic import generate_corpus
@@ -55,6 +55,18 @@ def test_predict_bodies_match_golden_digests(algo, bundled_models,
         zip(digests, golden[algo])) if got != want]
     assert len(digests) == len(golden[algo])
     assert not mismatched, f"{algo} bodies differ for messages {mismatched}"
+
+
+def test_bodies_do_not_depend_on_the_word_memos(bundled_models,
+                                               synthetic_dataset):
+    messages = golden_messages(synthetic_dataset)
+    for algo, model in bundled_models.items():
+        cold = []
+        for message in messages:
+            textprep.lemmatize.cache_clear()
+            terms._edge_keys.cache_clear()
+            cold.append(body_digests(model, [message])[0])
+        assert cold == body_digests(model, messages), algo
 
 
 if __name__ == "__main__":

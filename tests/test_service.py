@@ -3,8 +3,10 @@ import contextlib
 import gc
 import json
 import os
+import random
 import signal
 import socket
+import string
 import struct
 import subprocess
 import sys
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from refdoc import pipeline, service
+from refdoc import pipeline, service, terms, textprep
 from refdoc.classifiers import ModelConfig
 from refdoc.model_io import save_model
 from refdoc.service import PredictServer
@@ -192,6 +194,56 @@ def test_identical_requests_get_byte_identical_bodies(server):
     _, first = post(server, body)
     _, second = post(server, body)
     assert first == second
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+_BODIES = st.one_of(
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({"message": _JSON}).map(
+        lambda v: json.dumps(v).encode()),
+    st.text(min_size=1).map(  # non-ASCII text, sent as raw UTF-8
+        lambda m: json.dumps({"message": m}, ensure_ascii=False).encode()),
+    st.binary(max_size=200))
+
+
+def _distinct_word_body():
+    """A body about 100 bytes short of 64 KiB whose message is distinct
+    random words, more than either per-word memo holds."""
+    rng = random.Random(7)
+    words, size = set(), 0
+    while size < service.MAX_BODY_BYTES - 120:
+        word = "".join(rng.choices(string.ascii_lowercase,
+                                   k=rng.randint(4, 9)))
+        if word not in words:
+            words.add(word)
+            size += len(word) + 1
+    return json.dumps({"message": " ".join(sorted(words))}).encode()
+
+
+@pytest.fixture(scope="module")
+def gbt_server(gbt_model):
+    with serving(gbt_model) as port:
+        yield f"http://127.0.0.1:{port}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BODIES)
+@example(_distinct_word_body())
+def test_fuzzed_bodies_end_in_200_or_4xx(gbt_server, body):
+    start = time.monotonic()
+    status, reply = post(gbt_server, body, raw=True)
+    assert time.monotonic() - start < 5.0
+    assert status == 200 or 400 <= status < 500, (status, reply[:80])
+    if status == 200:
+        assert set(json.loads(reply)) == {"label", "scores", "baseline",
+                                          "patterns"}
+    for memo in (textprep.lemmatize, terms._edge_keys):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize == textprep.WORD_MEMO_SIZE
 
 
 def test_unknown_path_is_404(server):

@@ -98,3 +98,5 @@ def test_expand_contractions_table():
     assert expand_contractions("won't") == "will not"
     assert expand_contractions("it's broken") == "it is broken"
     assert expand_contractions("we've moved") == "we have moved"
+    assert expand_contractions("don\u2019t") == "do not"
+    assert expand_contractions("no apostrophe here") == "no apostrophe here"
