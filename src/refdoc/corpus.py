@@ -59,7 +59,7 @@ def parse_label(name: str) -> RefactoringType:
     """
     try:
         return _BY_NAME[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a JSON list or object
         raise UnknownLabel(f"unknown label {name!r}") from None
 
 
@@ -136,36 +136,49 @@ def _load_jsonl(path: Path):
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
+            except ValueError as exc:  # or an integer over the digit limit
+                raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})",
+                                 line=lineno) from None
             except RecursionError:
                 raise ParseError("JSON nested too deeply", line=lineno) from None
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", line=lineno)
-            records.append(_record_from_fields(
-                str(obj.get("id") or ""), str(obj.get("project") or ""),
-                str(obj.get("message") or ""), obj.get("label"), lineno,
-            ))
+            fields = [str(obj.get(k) or "") for k in ("id", "project",
+                                                      "message")]
+            try:
+                "".join(fields).encode()
+            except UnicodeEncodeError:  # a "\ud800" escape decodes to this
+                raise ParseError("lone surrogate in a string",
+                                 line=lineno) from None
+            records.append(_record_from_fields(*fields, obj.get("label"),
+                                               lineno))
     return records
 
 
 def _load_csv(path: Path):
-    records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("no records") from None
-        if [h.strip().lower() for h in header] != ["id", "project", "message", "label"]:
-            raise ParseError("expected header id,project,message,label", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-            records.append(_record_from_fields(row[0], row[1], row[2],
-                                               row[3], lineno))
+            return _csv_records(reader)
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ParseError(f"invalid CSV ({exc})",
+                             line=reader.line_num) from None
+
+
+def _csv_records(reader):
+    records = []
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("no records")
+    if [h.strip().lower() for h in header] != ["id", "project", "message", "label"]:
+        raise ParseError("expected header id,project,message,label", line=1)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+        records.append(_record_from_fields(row[0], row[1], row[2],
+                                           row[3], lineno))
     return records
 
 

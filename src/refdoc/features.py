@@ -49,8 +49,11 @@ def row_ids(X) -> np.ndarray:
 
 def _sort_rows(X) -> CSR:
     """X with each row's entries in ascending column order; a row's
-    columns must be distinct."""
-    order = np.argsort(row_ids(X) * X.shape[1] + X.indices)
+    columns must be distinct, so one row sorts by its columns alone."""
+    if X.shape[0] == 1:
+        order = np.argsort(X.indices)
+    else:
+        order = np.argsort(row_ids(X) * X.shape[1] + X.indices)
     return CSR(X.indptr, X.indices[order], X.data[order], X.shape)
 
 

@@ -1,31 +1,47 @@
 """One-vs-all L2-regularized logistic regression.
 
 Each binary model minimizes sum_i log(1 + exp(z_i)) - y_i z_i plus
-(l2_weight / 2) ||w||^2 (bias unregularized) by deterministic full-batch
-gradient descent with Armijo backtracking, stopping when the gradient
-infinity-norm falls below the optimization tolerance. The gradient lives in
-its own function so it can be checked against finite differences.
+(l2_weight / 2) ||w||^2 (bias unregularized) over the joint vector
+(w, b) by a deterministic L-BFGS: the two-loop recursion of Liu &
+Nocedal (1989, "On the limited memory BFGS method for large scale
+optimization") over the last HISTORY curvature pairs. The first step,
+and any step after a direction that is not a descent direction, is
+steepest descent scaled by the gradient's infinity-norm; a curvature pair
+whose s.y is not clearly positive is skipped. The backtracking line
+search halves the step from 1 and accepts a trial by strict Armijo
+decrease or, once the loss stops resolving a step near the optimum, by
+the approximate Wolfe conditions of Hager & Zhang (2005, "A new
+conjugate gradient method with guaranteed descent and an efficient line
+search"). The fit stops when the gradient infinity-norm falls to the
+optimization tolerance, when no trial is accepted (numerically
+converged), or after max_iter iterations. The gradient lives in its own
+function so it can be checked against finite differences.
 
 The fit computes the margins X @ w + b once per line-search trial: the
-loss and the next gradient both take the accepted trial's margins. Both
-products with X are bincounts over X's entries, whose row and column ids
-are taken once per binary problem: X @ w adds each row's terms, and
-X.T @ r each column's, in storage order from 0.0. The binary problems are
+loss and the gradient both take the trial's margins. Both products with
+X are bincounts over X's entries, whose row and column ids are taken
+once per binary problem: X @ w adds each row's terms, and X.T @ r each
+column's, in storage order from 0.0. The binary problems are
 independent and are fitted in worker processes (workers.map_parts).
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .features import row_ids
+from .trees import sigmoid
 from .workers import map_parts
 
-
-def _sigmoid(z):
-    """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+HISTORY = 10  # curvature pairs the L-BFGS direction remembers
+ARMIJO = 1e-4  # sufficient-decrease fraction of the directional derivative
+MAX_TRIALS = 60  # line-search halvings before the fit counts as converged
+# Approximate Wolfe (Hager & Zhang's delta = 0.1, sigma = 0.9): the loss
+# may rise by LOSS_SLACK * |loss| while the slope phi'(a) along the
+# direction lies in [0.9 phi'(0), -0.8 phi'(0)].
+LOSS_SLACK = 1e-12
 
 
 def _entries(X):
@@ -66,42 +82,88 @@ def logreg_gradient(weights, bias, X, y, l2_weight, margins=None,
     """
     entries = _entries(X) if entries is None else entries
     z = _margins(weights, bias, entries) if margins is None else margins
-    r = _sigmoid(z) - y
+    r = sigmoid(z) - y
     grad_w = _feature_sums(r, entries) + l2_weight * weights
     return grad_w, float(np.sum(r))
 
 
-def fit_binary(X, y, *, l2_weight, tol, max_iter):
-    """Gradient descent with backtracking line search on one binary problem."""
+def _direction(g, pairs):
+    """-H g for the L-BFGS inverse-Hessian estimate H of the curvature
+    pairs (s, y, 1 / s.y), oldest first: the two-loop recursion, started
+    from s.y / y.y times the identity for the newest pair."""
+    d = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ d)
+        d -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    d *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d += (alpha - rho * float(y @ d)) * s
+    return d
+
+
+def lbfgs(X, y, *, l2_weight, tol, max_iter):
+    """L-BFGS on one binary problem: (weights, bias, iterations, stop),
+    where stop is "gradient" (infinity-norm at most tol), "line search"
+    (no trial accepted) or "iterations" (max_iter steps taken)."""
     entries = _entries(X)
-    w = np.zeros(X.shape[1], dtype=np.float64)
-    b = 0.0
-    step = 1.0
-    z = _margins(w, b, entries)
-    loss = logreg_loss(w, b, X, y, l2_weight, margins=z)
-    for _ in range(max_iter):
-        grad_w, grad_b = logreg_gradient(w, b, X, y, l2_weight,
+
+    def loss_at(x):
+        z = _margins(x[:-1], x[-1], entries)
+        return z, logreg_loss(x[:-1], x[-1], X, y, l2_weight, margins=z)
+
+    def gradient_at(x, z):
+        grad_w, grad_b = logreg_gradient(x[:-1], x[-1], X, y, l2_weight,
                                          margins=z, entries=entries)
-        gnorm = max(float(np.max(np.abs(grad_w))) if grad_w.size else 0.0,
-                    abs(grad_b))
+        return np.append(grad_w, grad_b)
+
+    x = np.zeros(X.shape[1] + 1, dtype=np.float64)
+    z, loss = loss_at(x)
+    g = gradient_at(x, z)
+    pairs = deque(maxlen=HISTORY)
+    iterations = 0
+    while True:
+        gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol:
+            stop = "gradient"
             break
-        sq = float(grad_w @ grad_w) + grad_b * grad_b
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        for _ in range(60):
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            z_new = _margins(w_new, b_new, entries)
-            loss_new = logreg_loss(w_new, b_new, X, y, l2_weight,
-                                   margins=z_new)
-            if loss_new <= loss - 1e-4 * step * sq:
-                accepted = True
+        if iterations == max_iter:
+            stop = "iterations"
+            break
+        d = _direction(g, pairs) if pairs else -g / gnorm
+        if not float(g @ d) < 0.0:  # not a descent direction
+            pairs.clear()
+            d = -g / gnorm
+        slope = float(g @ d)
+        step = 1.0
+        for _ in range(MAX_TRIALS):
+            x_new = x + step * d
+            z, loss_new = loss_at(x_new)
+            if loss_new < loss + ARMIJO * step * slope:
+                g_new = gradient_at(x_new, z)
                 break
+            if loss_new <= loss + LOSS_SLACK * abs(loss):
+                g_new = gradient_at(x_new, z)
+                if 0.9 * slope <= float(g_new @ d) <= -0.8 * slope:
+                    break
             step *= 0.5
-        if not accepted:
-            break  # step underflow: numerically converged
-        w, b, loss, z = w_new, b_new, loss_new, z_new
+        else:
+            stop = "line search"  # numerically converged
+            break
+        s, v = x_new - x, g_new - g
+        sv = float(s @ v)
+        if sv > 1e-10 * float(v @ v):
+            pairs.append((s, v, 1.0 / sv))
+        x, loss, g = x_new, loss_new, g_new
+        iterations += 1
+    return x[:-1], float(x[-1]), iterations, stop
+
+
+def fit_binary(X, y, *, l2_weight, tol, max_iter):
+    """L-BFGS on one binary problem: (weights, bias)."""
+    w, b, _, _ = lbfgs(X, y, l2_weight=l2_weight, tol=tol, max_iter=max_iter)
     return w, b
 
 
@@ -131,7 +193,7 @@ class LogisticOvA:
         """Per-class OvA sigmoids normalized to sum to one. Where every
         sigmoid underflows to 0, exp(z - max z) holds their limiting ratios."""
         z = self.weights @ row + self.bias
-        p = _sigmoid(z)
+        p = sigmoid(z)
         if not p.sum():
             p = np.exp(z - z.max())
         return p / p.sum()

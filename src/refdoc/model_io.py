@@ -26,8 +26,9 @@ FORMAT_VERSION = 1
 _NOTES = {
     "tfidf": "tf = raw count; idf = ln((1+N)/(1+df)) + 1; L2-normalized",
     "fisher": "scored on unnormalized count*idf values, eps = 1e-12",
-    "logreg": "full-batch gradient descent with backtracking; the published "
-              "L1 term is dropped to keep the objective smooth",
+    "logreg": "L-BFGS (10 pairs) with Armijo or approximate-Wolfe "
+              "backtracking; the published L1 term is dropped to keep the "
+              "objective smooth",
     "ova_scores": "rf scores are vote fractions; gbt scores are sigmoid margins",
 }
 

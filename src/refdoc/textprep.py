@@ -71,8 +71,14 @@ def load_lemma_dict() -> dict:
 
 
 def strip_urls_and_emails(text: str) -> str:
-    text = _URL_RE.sub(" ", text)
-    return _EMAIL_RE.sub(" ", text)
+    """Each URL and e-mail address replaced by a space. A regex runs only
+    on text holding the literal its matches need: "://" or "www." in
+    any case for a URL, "@" for an address."""
+    if "://" in text or "www." in text.lower():
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _EMAIL_RE.sub(" ", text)
+    return text
 
 
 def expand_contractions(text: str) -> str:

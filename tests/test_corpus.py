@@ -128,6 +128,26 @@ def test_non_utf8_corpus_is_a_parse_error(tmp_path, fmt, raw):
         load_corpus(path, format=fmt)
 
 
+@pytest.mark.parametrize("fmt,raw,error,match", [
+    ("csv", b"id,project,message,label\n1,p," + b"a" * 200_000 + b",\n",
+     ParseError, "line 2: invalid CSV"),
+    ("jsonl", b'{"id": "1", "message": "m", "label": []}\n',
+     UnknownLabel, "unknown label"),
+    ("jsonl", b'{"id": "1", "message": "m", "label": {"a": 1}}\n',
+     UnknownLabel, "unknown label"),
+    ("jsonl", b'{"id": ' + b"9" * 5000 + b', "message": "m"}\n',
+     ParseError, "line 1: invalid JSON"),
+    ("jsonl", b'{"id": "1", "message": "caf\\ud800"}\n',
+     ParseError, "line 1: lone surrogate"),
+], ids=["csv-field-over-limit", "label-list", "label-object",
+        "int-over-digit-limit", "lone-surrogate"])
+def test_hostile_fields_are_refdoc_errors(tmp_path, fmt, raw, error, match):
+    path = tmp_path / f"c.{fmt}"
+    path.write_bytes(raw)
+    with pytest.raises(error, match=match):
+        load_corpus(path, format=fmt)
+
+
 def test_stratified_sample_balances_and_is_deterministic(tmp_path):
     rows = []
     for label in METHOD_TYPES:

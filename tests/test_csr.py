@@ -92,6 +92,32 @@ def test_vectors_to_csr_matches_scipy(case):
                        reference_vectors_to_csr(doc_counts, index))
 
 
+def reference_sort_rows(X):
+    """features._sort_rows as it was: one argsort of every entry's
+    (row, column) key, whatever the number of rows."""
+    order = np.argsort(features.row_ids(X) * X.shape[1] + X.indices)
+    return features.CSR(X.indptr, X.indices[order], X.data[order], X.shape)
+
+
+@given(matrices(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_sort_rows_matches_the_argsort_path(case, one_row):
+    S, rng = case
+    if one_row:  # a single row, as for one /predict message
+        S = sparse.vstack([S, sparse.csr_matrix((1, S.shape[1]))]).tocsr()
+        S = S[int(rng.integers(S.shape[0]))]
+    shuffled = np.concatenate([
+        start + rng.permutation(stop - start)
+        for start, stop in zip(S.indptr[:-1], S.indptr[1:])] + [[]])
+    shuffled = shuffled.astype(np.intp)
+    X = features.CSR(S.indptr, S.indices.astype(np.intp)[shuffled],
+                     S.data[shuffled], S.shape)
+    got, expected = features._sort_rows(X), reference_sort_rows(X)
+    assert_same_matrix(got, expected)
+    assert got.indices.dtype == expected.indices.dtype
+    assert got.data.dtype == expected.data.dtype
+
+
 @given(matrices(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_row_selection_matches_scipy(case, data):

@@ -3,6 +3,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refdoc import textprep
 from refdoc.textprep import (
     expand_contractions,
     lemmatize,
@@ -100,3 +101,32 @@ def test_expand_contractions_table():
     assert expand_contractions("we've moved") == "we have moved"
     assert expand_contractions("don\u2019t") == "do not"
     assert expand_contractions("no apostrophe here") == "no apostrophe here"
+
+
+def unguarded_strip(text):
+    """strip_urls_and_emails with both regexes run on every text."""
+    return textprep._EMAIL_RE.sub(" ", textprep._URL_RE.sub(" ", text))
+
+
+# Runs of the characters the two regexes and their guards turn on, among
+# ordinary words, so most drawn texts hold a URL, a "www." or an "@".
+_URL_PIECES = st.sampled_from([
+    "://", "www.", "wWw.", "WWW.", "ww.", "w.ww.", "@", " @ ", "a@b", "@@",
+    "http", "HTTPS", "ftp+x", "mailto:", "x.y", " ", "\n", "\t", "rename",
+    "Foo", "e", "9", "-", ".", "\u0130", "\u212a", "\u017f"])
+
+
+@given(st.lists(st.one_of(_URL_PIECES, st.text(max_size=6)), max_size=30)
+       .map("".join))
+@settings(max_examples=500, deadline=None)
+def test_url_and_email_guards_change_no_output(text):
+    assert textprep.strip_urls_and_emails(text) == unguarded_strip(text)
+
+
+def test_url_and_email_guards_on_edge_cases():
+    for text in ["see wWw.example.org now", "WWW.X.Y", "a lone @ sign",
+                 "@", "://", "x://", "HTTP://Host/p?q", "mail me@host.org",
+                 "www.", "no links here", "", "ww w.a", "fix://@b"]:
+        assert textprep.strip_urls_and_emails(text) == unguarded_strip(text)
+    assert textprep.strip_urls_and_emails("see wWw.a.org") == "see  "
+    assert textprep.strip_urls_and_emails("a lone @ sign") == "a lone @ sign"
