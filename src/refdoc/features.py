@@ -113,11 +113,11 @@ class Vocabulary:
     """N-gram feature space with IDF weights and a Fisher-ranked selection.
 
     Feature ids are dense 0..V-1 in lexicographic n-gram order, each
-    n-gram once. `selected` lists the chosen feature ids ranked by Fisher
-    score descending with lexicographic tie-breaking; lowering k therefore
-    yields a prefix of the higher-k selection. `columns` maps each
-    selected n-gram, in column order, to its column p: the position of its
-    id in `selected`, whose idf is `column_idf[p]`.
+    n-gram once. `selected` lists the min(k_select, V) chosen feature ids
+    ranked by Fisher score descending with lexicographic tie-breaking;
+    lowering k therefore yields a prefix of the higher-k selection.
+    `columns` maps each selected n-gram, in column order, to its column
+    p: the position of its id in `selected`, whose idf is `column_idf[p]`.
     """
 
     ngrams: List[Ngram]
@@ -141,6 +141,8 @@ class Vocabulary:
         ids = [int(f) for f in self.selected]
         if len(set(ids)) != len(ids) or not all(0 <= f < n for f in ids):
             raise ValueError("selected must hold distinct n-gram ids")
+        if len(ids) != min(self.k_select, n):
+            raise ValueError("selected must hold min(k_select, n-grams) ids")
         self.columns = {self.ngrams[f]: p for p, f in enumerate(ids)}
         self.column_idf = self.idf[ids]
 

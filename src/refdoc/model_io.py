@@ -51,16 +51,24 @@ def _vocab_to_dict(vocab: Vocabulary):
     }
 
 
+def _integer(x):
+    """x if it is an integer; as for hyperparameters, a bool is not one."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, not {x!r}")
+    return operator.index(x)  # 2.7 and "2" raise rather than read as 2
+
+
 def _vocab_from_dict(d):
     return Vocabulary(
         ngrams=[tuple(s.split(" ")) for s in d["ngrams"]],
-        doc_freq=np.asarray(d["doc_freq"], dtype=np.int64),
+        doc_freq=np.asarray([_integer(x) for x in d["doc_freq"]],
+                            dtype=np.int64),
         idf=np.asarray(d["idf"], dtype=np.float64),
         fisher=np.asarray(d["fisher"], dtype=np.float64),
-        selected=np.asarray([operator.index(f) for f in d["selected"]],
+        selected=np.asarray([_integer(f) for f in d["selected"]],
                             dtype=np.int64),
-        n_max=int(d["n_max"]),
-        k_select=int(d["k_select"]),
+        n_max=_integer(d["n_max"]),
+        k_select=_integer(d["k_select"]),
     )
 
 
@@ -128,9 +136,11 @@ def _model_from_payload(payload) -> TrainedModel:
         include_none=payload["include_none"],
     )
     vocab = _vocab_from_dict(payload["vocabulary"])
-    if vocab.n_max != config.n_max:
-        raise ModelFormatError(f"vocabulary n_max {vocab.n_max} differs "
-                               f"from the pipeline's {config.n_max}")
+    for name in ("n_max", "k_select"):
+        if getattr(vocab, name) != getattr(config, name):
+            raise ModelFormatError(
+                f"vocabulary {name} {getattr(vocab, name)} differs from "
+                f"the pipeline's {getattr(config, name)}")
     class_order = tuple(parse_label(s) for s in payload["class_order"])
     if len(class_order) < 2 or class_order != present_types(class_order):
         raise ModelFormatError("class_order must list two or more distinct "

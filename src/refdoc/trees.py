@@ -90,7 +90,7 @@ class Tree:
         Feature ids and child indices must be integers; with n_classes,
         leaf values must be whole-number class indices below it, and with
         max_depth, no node may lie more than max_depth splits below the
-        root.
+        root. No threshold may be negative (-0.0 is not).
         """
         tree = cls()
         tree.feature = [operator.index(x) for x in d["feature"]]
@@ -102,8 +102,10 @@ class Tree:
         if n == 0 or any(len(a) != n for a in (tree.threshold, tree.left,
                                                tree.right, tree.value)):
             raise ValueError("tree arrays must share one nonzero length")
-        if not all(map(math.isfinite, tree.threshold + tree.value)):
-            raise ValueError("tree thresholds and values must be finite")
+        if not (all(map(math.isfinite, tree.threshold + tree.value))
+                and min(tree.threshold) >= 0.0):
+            raise ValueError("tree thresholds must be finite and >= 0, "
+                             "and leaf values finite")
         children = []
         depth = [0] * n  # final at each node, as its parent comes first
         for node, feat in enumerate(tree.feature):
@@ -218,10 +220,9 @@ class QuickScorer:
     rules out the leaves of its left subtree: its mask, W 64-bit words,
     has their bits clear. A tree's exit leaf is the lowest bit left set
     once the masks of its failed splits are ANDed together; its rightmost
-    leaf is never cleared, so one always is. Splits with threshold >= 0
-    are grouped by feature and sorted by threshold behind ptr, since a
-    feature that reads 0 fails none of them; the splits with a negative
-    threshold follow, apart, and are tested against the dense row.
+    leaf is never cleared, so one always is. Thresholds are never negative
+    (Tree.from_dict), like TF-IDF weights, so a feature that reads 0 fails
+    no split: ptr groups the splits by feature, sorted by threshold.
     """
 
     def __init__(self, class_trees, n_features):
@@ -232,13 +233,9 @@ class QuickScorer:
         self.words = -(-int(tree_leaves.max()) // 64)  # W, from the trees
         # each tree's leaf values, in leaf order, from leaf_start[tree] on
         self.leaf_start = np.cumsum(tree_leaves) - tree_leaves
-        negative = threshold < 0.0
-        # by feature, then threshold; the negative thresholds last
-        order = np.lexsort((threshold, feature, negative))
-        n_sparse = order.size - int(negative.sum())
+        order = np.lexsort((threshold, feature))  # by feature, then threshold
         self.ptr = np.concatenate(([0], np.cumsum(np.bincount(
-            feature[order[:n_sparse]], minlength=n_features))))
-        self.negative_feature = feature[order[n_sparse:]]
+            feature[order], minlength=n_features))))
         self.threshold = threshold[order]
         self.tree = tree[order]
         word_start = 64 * np.arange(self.words)
@@ -254,10 +251,6 @@ class QuickScorer:
         span = (np.repeat(start - np.cumsum(count) + count, count)
                 + np.arange(count.sum()))
         failed = span[self.threshold[span] < np.repeat(row[feats], count)]
-        if self.negative_feature.size:
-            negative = self.ptr[-1] + np.arange(self.negative_feature.size)
-            failed = np.concatenate((failed, negative[
-                row[self.negative_feature] > self.threshold[negative]]))
         bits = np.full((self.leaf_start.size, self.words), _ALL_BITS)
         np.bitwise_and.at(bits, self.tree[failed], self.mask[failed])
         # each word's lowest set bit alone, 2**k, and so its k: a power of

@@ -133,25 +133,28 @@ def test_single_leaf_trees():
                                     ([0.0, 0.0], [0.0, 0.25], [0.0, 0.3])])
 
 
-def test_negative_threshold_splits_test_absent_features():
-    # an absent feature reads 0 > -0.5, so the row goes right
-    split = dict(SPLIT, threshold=[-0.5, 0.0, 0.0])
+def test_negative_thresholds_are_rejected():
+    # a split threshold, a leaf's unused one, and the smallest below 0
+    for threshold in ([-0.5, 0.0, 0.0], [0.25, -1.0, 0.0],
+                      [-5e-324, 0.0, 0.0]):
+        split = dict(SPLIT, threshold=threshold)
+        with pytest.raises(ValueError, match=">= 0"):
+            boosted(1).load_dict({"f0": [0.1], "trees": [[split]]}, 1, 2)
+    # -0.0 == 0: a feature that reads 0 or -0.0 goes left either way
+    split = dict(SPLIT, threshold=[-0.0, 0.0, 0.0])
     estimator = boosted(1).load_dict({"f0": [0.1], "trees": [[split]]}, 1, 2)
-    assert estimator.scorer.ptr.tolist() == [0, 0, 0]
-    assert estimator.scorer.negative_feature.tolist() == [1]
-    for row, leaf in (([0.0, 0.0], 2.0), ([0.0, -0.5], -1.5),
-                      ([0.0, -0.7], -1.5), ([0.3, 0.2], 2.0)):
+    for row, leaf in (([0.0, 0.0], -1.5), ([0.0, -0.0], -1.5),
+                      ([0.0, -0.7], -1.5), ([0.3, 5e-324], 2.0)):
         assert estimator.scorer.leaf_values(np.array(row)).tolist() == [leaf]
-    assert_scores_match(estimator, [np.array([0.0, 0.0]),
-                                    np.array([0.0, -0.7])])
 
 
-GRID = [-1.0, -0.25, 0.0, 0.25, 0.5, 1.0]  # thresholds, and row values
+GRID = [-1.0, -0.25, 0.0, 0.25, 0.5, 1.0]  # row values
+THRESHOLDS = [-0.0] + [v for v in GRID if v >= 0.0]  # as the loader admits
 
 
 def random_tree(rng, n_splits, n_features):
     """A tree grown by splitting a random leaf n_splits times, on
-    thresholds from GRID; leaf values are distinct."""
+    thresholds from THRESHOLDS; leaf values are distinct."""
     tree = Tree()
     leaves = [tree.add_leaf(float(rng.normal()))]
     for _ in range(n_splits):
@@ -159,7 +162,7 @@ def random_tree(rng, n_splits, n_features):
         left = tree.add_leaf(float(rng.normal()))
         right = tree.add_leaf(float(rng.normal()))
         tree.make_split(node, int(rng.integers(n_features)),
-                        float(rng.choice(GRID)), left, right)
+                        float(rng.choice(THRESHOLDS)), left, right)
         leaves += [left, right]
     return tree
 
@@ -169,8 +172,8 @@ def random_tree(rng, n_splits, n_features):
        st.integers(0, 2**32 - 1))
 def test_leaf_values_equal_predict_row_for_every_tree(n_splits, seed):
     """Single-leaf trees, trees of over 64 leaves (two or three mask
-    words), negative thresholds, and rows with values on a threshold, with
-    explicit zeros and with -0.0."""
+    words), thresholds of -0.0, and rows with values on a threshold, with
+    negative values, explicit zeros and -0.0."""
     n_features = 6
     rng = np.random.default_rng(seed)
     trees = [random_tree(rng, n, n_features) for n in n_splits]
@@ -183,16 +186,35 @@ def test_leaf_values_equal_predict_row_for_every_tree(n_splits, seed):
             tree.predict_row(row) for tree in trees]
 
 
-def test_trees_of_more_than_64_leaves(synthetic_dataset):
-    model = pipeline.fit(synthetic_dataset, ModelConfig(
+@pytest.fixture(scope="module")
+def wide_gbt_model(synthetic_dataset):
+    return pipeline.fit(synthetic_dataset, ModelConfig(
         algorithm="gbt", hyperparameters={
             "n_trees": 2, "max_leaves": 100, "min_samples_per_leaf": 1}))
+
+
+def test_trees_of_more_than_64_leaves(wide_gbt_model, synthetic_dataset):
+    model = wide_gbt_model
     estimator = model.estimator
     assert max(len(t.feature) for class_trees in estimator.trees
                for t in class_trees) > 2 * 64 - 1
     assert estimator.scorer.words == 2
     assert_scores_match(estimator, [message_row(model, r.message)
                                     for r in synthetic_dataset])
+
+
+def test_trained_trees_hold_no_negative_threshold(bundled_models,
+                                                  wide_gbt_model):
+    """A split threshold lies between TF-IDF weights, which are never
+    negative, so every tree training makes passes Tree.from_dict."""
+    for model in (bundled_models["gbt"], bundled_models["rf"],
+                  wide_gbt_model):
+        trees = model.estimator.trees
+        if model.config.algorithm == "gbt":
+            trees = [tree for class_trees in trees for tree in class_trees]
+        thresholds = [t for tree in trees
+                      for f, t in zip(tree.feature, tree.threshold) if f >= 0]
+        assert thresholds and min(thresholds) > 0.0, model.config.algorithm
 
 
 @pytest.mark.parametrize("trees", [

@@ -4,8 +4,9 @@ Lines of the bundled JSONL corpus, and of a small CSV corpus made from
 the same records, are truncated, cut with bytes that are not UTF-8, given
 fields of the wrong type, huge fields or another line's id, dropped or
 repeated. Each mutated file goes through load_corpus, which must return a
-Dataset or raise a RefdocError, and through `refdoc ingest` and `refdoc
-train`, which must exit with 0 or 2 within a time bound.
+Dataset or raise a RefdocError, and through `refdoc ingest`, `train`,
+`evaluate` and `baseline --corpus`, which must exit with 0 or 2 within a
+time bound.
 """
 
 import contextlib
@@ -177,17 +178,26 @@ def check_corpus(fmt, data, algo):
         train, train_err = run_cli(["train", str(path), "--format", fmt,
                                     "--algo", algo,
                                     "--out", str(Path(tmp) / "model.json")])
+        evaluate, evaluate_err = run_cli(["evaluate", str(path), "--format",
+                                          fmt, "--folds", "2", "--algo", "nb"])
+        baseline, baseline_err = run_cli(["baseline", "--corpus", str(path),
+                                          "--format", fmt])
         elapsed = time.perf_counter() - start
     assert ingest == (0 if loaded else 2), ingest_err
-    assert train in (0, 2), train_err
-    assert train == 2 or loaded
-    assert "Traceback" not in ingest_err + train_err
+    assert baseline == (0 if loaded else 2), baseline_err
+    for code, err in ((train, train_err), (evaluate, evaluate_err)):
+        assert code in (0, 2), err
+        assert code == 2 or loaded
+    assert "Traceback" not in "".join((ingest_err, train_err, evaluate_err,
+                                       baseline_err))
     assert elapsed < SECONDS
+    return ingest, train, evaluate, baseline
 
 
 def test_the_unmutated_corpora_train():
     for fmt, lines in (("jsonl", jsonl_lines()), ("csv", csv_lines())):
-        check_corpus(fmt, b"\n".join(lines) + b"\n", "nb")
+        assert check_corpus(fmt, b"\n".join(lines) + b"\n", "nb") == (
+            0, 0, 0, 0)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"corpus.{fmt}"
             path.write_bytes(b"\n".join(lines) + b"\n")

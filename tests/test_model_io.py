@@ -182,6 +182,12 @@ def _tree_arrays_of_unequal_length(p):
     _first_tree(p)["threshold"].pop()
 
 
+def _negative_threshold(p):
+    tree = _first_tree(p)
+    node = _last_split(tree)
+    tree["threshold"][node] = -tree["threshold"][node]
+
+
 def _empty_tree(p):
     tree = _first_tree(p)
     for key in tree:
@@ -274,6 +280,40 @@ def _duplicated_selected_id(p):
 
 def _fractional_selected_id(p):
     p["vocabulary"]["selected"][0] += 0.5
+
+
+def _fractional_vocabulary_n_max(p):
+    p["vocabulary"]["n_max"] = 2.7  # int() would read 2, the pipeline's
+
+
+def _string_vocabulary_n_max(p):
+    p["vocabulary"]["n_max"] = "2"
+
+
+def _negative_vocabulary_k_select(p):
+    p["vocabulary"]["k_select"] = -3
+
+
+def _vocabulary_k_select_7(p):
+    p["vocabulary"]["k_select"] = 7  # the pipeline's is 5000
+
+
+def _fractional_doc_freq(p):
+    p["vocabulary"]["doc_freq"][0] = 2.5
+
+
+def _boolean_doc_freq(p):
+    p["vocabulary"]["doc_freq"][0] = True
+
+
+def _pipeline_k_select_3(p):
+    p["pipeline"]["k_select"] = 3
+
+
+def _k_select_3_over_every_id(p):
+    # build_vocabulary keeps min(k_select, len(ngrams)) ids, not all of them
+    assert len(p["vocabulary"]["selected"]) > 3
+    p["pipeline"]["k_select"] = p["vocabulary"]["k_select"] = 3
 
 
 def _nan_idf(p):
@@ -410,6 +450,11 @@ _DAMAGE = [
     ("nb", _repeated_ngram), ("nb", _swapped_ngrams),
     ("gbt", _repeated_ngram), ("gbt", _swapped_ngrams),
     ("gbt", _max_leaves_2), ("gbt", _caterpillar_tree), ("rf", _max_depth_1),
+    ("gbt", _negative_threshold), ("rf", _negative_threshold),
+    ("nb", _fractional_vocabulary_n_max), ("nb", _string_vocabulary_n_max),
+    ("nb", _negative_vocabulary_k_select), ("nb", _vocabulary_k_select_7),
+    ("nb", _fractional_doc_freq), ("nb", _boolean_doc_freq),
+    ("nb", _pipeline_k_select_3), ("nb", _k_select_3_over_every_id),
 ]
 
 
