@@ -9,9 +9,11 @@ functions here that read only indptr, indices, data and shape, so any CSR
 matrix with those fields is a valid input. Weighting is pinned for
 bit-reproducibility: TF is the raw in-document count, IDF is
 ln((1+N)/(1+df)) + 1, and rows are L2-normalized. Fisher scores are
-computed over the unnormalized count*idf values as axis-0 sums of
-C-ordered blocks, which numpy takes row by row in dataset order:
-bit-equal to a row-by-row loop.
+computed over the unnormalized count*idf values, bit-equal to a
+row-by-row loop in dataset order: the means are bincounts of the entries
+in row order, and each class's variances are axis-0 sums of dense
+C-ordered slabs of its rows over the columns where it has entries. No
+slab is one column wide, since numpy sums a single column pairwise.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class Vocabulary:
             raise ValueError("ngrams must be distinct and in ascending order")
         if any(len(a) != n for a in (self.doc_freq, self.idf, self.fisher)):
             raise ValueError("doc_freq, idf and fisher need one entry per n-gram")
-        if not np.isfinite(self.idf).all():
-            raise ValueError("idf values must be finite")
+        if not (np.isfinite(self.idf) & (self.idf >= 1.0)).all():
+            raise ValueError("idf values must be finite and at least 1")
         ids = [int(f) for f in self.selected]
         if len(set(ids)) != len(ids) or not all(0 <= f < n for f in ids):
             raise ValueError("selected must hold distinct n-gram ids")
@@ -156,38 +158,49 @@ def fisher_scores(counts, labels, idf) -> np.ndarray:
 
     Scores are taken over the count*idf values:
     score(j) = sum_k n_k (mu_kj - mu_j)^2 / (sum_k n_k var_kj + eps) with
-    population variances, eps = 1e-12. Classes are visited in canonical
-    label order; every sum is an axis-0 sum of a C-ordered block, which
-    adds rows in dataset order, bit-equal to a straightforward loop.
-    labels holds one label per row, as build_vocabulary checks.
+    population variances, eps = 1e-12, classes in canonical label order.
+    Each sum is bit-equal to a loop over the rows in dataset order. A mean
+    is a bincount of the entries in row order; the loop adds zero rows too,
+    which changes no sum, as count >= 1 and idf >= 1 rule out -0.0. A
+    variance sum is an axis-0 sum over a dense slab of the class's rows and
+    up to _BLOCK of the columns where it has entries; elsewhere mu_kj = 0
+    and the loop adds exactly 0.0. A slab is never one column wide, since
+    numpy sums a single column pairwise. labels holds one label per row;
+    a row labeled None counts in mu_j alone (classifiers.train rejects it).
     """
     n_docs, n_feat = counts.shape
     classes = present_types(labels)
+    index = {c: k for k, c in enumerate(classes)}
+    row_class = np.array([index.get(lab, -1) for lab in labels],
+                         dtype=np.intp)
+    rows, cols = row_ids(counts), counts.indices
+    vals = counts.data * idf[cols]
 
-    col_ptr, doc_of, col_of, vals = column_view(counts)
-    vals = vals * idf[col_of]
-    class_rows = [np.array([i for i, lab in enumerate(labels) if lab == c])
-                  for c in classes]
+    mu_all = np.bincount(cols, vals, n_feat) / n_docs
+    rank = np.empty(n_docs, dtype=np.intp)   # a row's place in its class
+    num, den = np.zeros((2, n_feat))
+    for k in range(len(classes)):
+        members = np.flatnonzero(row_class == k)
+        n_k = len(members)
+        rank[members] = np.arange(n_k)
+        mine = np.flatnonzero(row_class[rows] == k)
+        mu_k = np.bincount(cols[mine], vals[mine], n_feat) / n_k
+        diff = mu_k - mu_all
+        num += n_k * (diff * diff)
 
-    scores = np.empty(n_feat, dtype=np.float64)
-    for start in range(0, n_feat, _BLOCK):
-        stop = min(start + _BLOCK, n_feat)
-        a, b = col_ptr[start], col_ptr[stop]
-        block = np.zeros((n_docs, stop - start))
-        block[doc_of[a:b], col_of[a:b] - start] = vals[a:b]
-        mu_all = block.sum(axis=0) / n_docs
-        num, den = np.zeros((2, stop - start))
-        for rows in class_rows:
-            n_k = len(rows)
-            members = block[rows]          # a C-ordered copy, squared in place
-            mu_k = members.sum(axis=0) / n_k
-            diff = mu_k - mu_all
-            num += n_k * (diff * diff)
-            members -= mu_k
-            members *= members
-            den += n_k * (members.sum(axis=0) / n_k)
-        scores[start:stop] = num / (den + FISHER_EPS)
-    return scores
+        # the class's entries by active column: slot p holds active[p]
+        active, slot = np.unique(cols[mine], return_inverse=True)
+        order = np.argsort(slot, kind="stable")
+        slot, mine = slot[order], mine[order]
+        bounds = list(range(0, len(active), _BLOCK)) + [len(active)]
+        ptr = np.searchsorted(slot, bounds)
+        for a, b, lo, hi in zip(bounds, bounds[1:], ptr, ptr[1:]):
+            slab = np.zeros((n_k, max(b - a, 2)))   # never one column wide
+            slab[rank[rows[mine[lo:hi]]], slot[lo:hi] - a] = vals[mine[lo:hi]]
+            slab[:, :b - a] -= mu_k[active[a:b]]
+            slab *= slab
+            den[active[a:b]] += n_k * (slab.sum(axis=0)[:b - a] / n_k)
+    return num / (den + FISHER_EPS)
 
 
 def vectors_to_csr(doc_counts, index) -> CSR:

@@ -40,10 +40,12 @@ class NaiveBayes:
         and an undefined (NaN) one as the lowest, so the scores stay
         finite. Finite log-joints pass through unchanged.
         """
-        big = np.finfo(np.float64).max
         with np.errstate(over="ignore", invalid="ignore"):
-            log_joint = np.nan_to_num(self.log_prior + self.log_theta @ row,
-                                      nan=-big, posinf=big, neginf=-big)
+            log_joint = self.log_prior + self.log_theta @ row
+            if not np.isfinite(log_joint).all():
+                big = np.finfo(np.float64).max
+                log_joint = np.nan_to_num(log_joint, nan=-big, posinf=big,
+                                          neginf=-big)
             shifted = log_joint - log_joint.max()
         p = np.exp(shifted)
         return p / p.sum()

@@ -320,6 +320,15 @@ def _nan_idf(p):
     p["vocabulary"]["idf"][0] = float("nan")
 
 
+def _zero_idf(p):
+    # training's idf is ln((1+N)/(1+df)) + 1 >= 1; 0.0 gives NaN features
+    p["vocabulary"]["idf"] = [0.0] * len(p["vocabulary"]["idf"])
+
+
+def _idf_half(p):
+    p["vocabulary"]["idf"][0] = 0.5
+
+
 def _nan_log_prior(p):
     p["parameters"]["log_prior"] = [float("nan")] * len(
         p["parameters"]["log_prior"])
@@ -423,6 +432,7 @@ _DAMAGE = [
     ("nb", _fisher_one_long), ("nb", _selected_id_out_of_range),
     ("nb", _negative_selected_id), ("nb", _duplicated_selected_id),
     ("nb", _fractional_selected_id), ("nb", _nan_idf),
+    ("nb", _zero_idf), ("gbt", _zero_idf), ("nb", _idf_half),
     ("nb", _nan_log_prior), ("nb", _infinite_log_theta),
     ("logreg", _nan_weight), ("logreg", _infinite_bias),
     ("gbt", _nan_f0), ("gbt", _infinite_leaf_value),

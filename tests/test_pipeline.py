@@ -1,13 +1,15 @@
 """CV and the inconsistency report share pipeline.fit_counts and
 predict_counts, and each message is counted once."""
 
+import dataclasses
+
 import pytest
 
 from refdoc import evaluation, features, inconsistency, pipeline, workers
 from refdoc.classifiers import ModelConfig
 from refdoc.corpus import Dataset
 from refdoc.corpus import RefactoringType as RT
-from refdoc.errors import SingleClass
+from refdoc.errors import SingleClass, UnknownLabel
 from refdoc.textprep import preprocess
 
 
@@ -61,3 +63,11 @@ def test_fit_rejects_a_single_class(small_dataset):
     moves = Dataset(r for r in small_dataset if r.label is RT.MOVE_METHOD)
     with pytest.raises(SingleClass):
         pipeline.fit(moves, ModelConfig(algorithm="nb"))
+
+
+def test_fit_rejects_an_unlabeled_record(synthetic_dataset):
+    # build_vocabulary scores Fisher before classifiers.train checks labels
+    records = list(synthetic_dataset)
+    records[0] = dataclasses.replace(records[0], label=None)
+    with pytest.raises(UnknownLabel, match="labels on every record"):
+        pipeline.fit(records, ModelConfig(algorithm="nb"))
